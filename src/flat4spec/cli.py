@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -26,6 +27,25 @@ from .group import GroupError, betti, is_orientable
 from .lengths import length_set, length_spectrum
 from .numspec import heat_trace_numeric, multiplicity
 from .theta import heat_trace_poly
+
+
+def _checked(parse, accept, expected: str):
+    """argparse type: parse the text and require accept(value), else exit 2."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if accept(value):
+                return value
+        except (ValueError, ZeroDivisionError):
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return convert
+
+
+_positive_fraction = _checked(Fraction, lambda x: x > 0, "a positive rational")
+_positive_float = _checked(float, lambda x: 0 < x < math.inf,
+                           "a positive finite number")
+_nonnegative_int = _checked(int, lambda x: x >= 0, "a nonnegative integer")
 
 
 def _load(args) -> Catalog:
@@ -122,20 +142,19 @@ def cmd_spectrum(args) -> int:
 def cmd_lengths(args) -> int:
     cat = _load(args)
     entry = cat.get(args.id)
-    max2 = Fraction(args.max_len2)
     if args.mult:
-        spec = length_spectrum(entry.group, max2)
+        spec = length_spectrum(entry.group, args.max_len2)
         for l2, m in sorted(spec.items()):
             print(f"length^2 = {l2}: {m} classes")
     else:
-        for l2 in sorted(length_set(entry.group, max2)):
+        for l2 in sorted(length_set(entry.group, args.max_len2)):
             print(f"length^2 = {l2}")
     return 0
 
 
 def cmd_classify(args) -> int:
     cat = _load(args)
-    report = classify_all(cat.groups(), args.mode, max2=Fraction(args.bound))
+    report = classify_all(cat.groups(), args.mode, max2=args.bound)
     if args.json is not None:
         if args.json == "-":
             print(report.to_json())
@@ -201,19 +220,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="eigenvalue multiplicities")
     p.add_argument("id")
     p.add_argument("-p", type=int, choices=range(5), default=None)
-    p.add_argument("--max-mu", type=int, default=10)
+    p.add_argument("--max-mu", type=_nonnegative_int, default=10)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("lengths", help="squared lengths of closed geodesics")
     p.add_argument("id")
-    p.add_argument("--max-len2", default="4", help="largest squared length")
+    p.add_argument("--max-len2", type=_positive_fraction, default="4",
+                   help="largest squared length")
     p.add_argument("--mult", action="store_true",
                    help="also count conjugacy classes per length")
     p.set_defaults(func=cmd_lengths)
 
     p = sub.add_parser("classify", help="isospectrality classes of the catalog")
     p.add_argument("--mode", choices=MODES, default="all-p")
-    p.add_argument("--bound", default="3",
+    p.add_argument("--bound", type=_positive_fraction, default="3",
                    help="squared length bound for mode bracketL")
     p.add_argument("--json", nargs="?", const="-", default=None,
                    help="emit the JSON report (to a path, or stdout)")
@@ -223,9 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ids", nargs="*", help="group ids (default: all)")
     p.add_argument("-p", type=int, choices=range(5), default=None,
                    help="form degree (default: all)")
-    p.add_argument("-s", type=float, default=0.08, help="heat time")
-    p.add_argument("--mu-max", type=int, default=40)
-    p.add_argument("--trunc", type=int, default=60, help="theta sum truncation")
+    p.add_argument("-s", type=_positive_float, default=0.08, help="heat time")
+    p.add_argument("--mu-max", type=_nonnegative_int, default=40)
+    p.add_argument("--trunc", type=_nonnegative_int, default=60,
+                   help="theta sum truncation")
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_crosscheck)
     return parser

@@ -12,13 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 from typing import Sequence
 
 from . import intlat
 from .intlat import FixedDecomposition, IntMatrix, RatVector
 from .kraw import charpoly_coeffs
-from .qfield import QuadNumber
 
 MAX_HOLONOMY_ORDER = 48
 
@@ -79,14 +77,14 @@ class AffineIsometry:
         return charpoly_coeffs(self.B)
 
     def translation_offsets(self) -> tuple[tuple[int, Fraction], ...]:
-        """Pairs (d_i, r_i): component support size and folded offset of b."""
-        dec = self.decomposition()
-        _, offsets = intlat.project_fixed(self.b, dec)
-        return tuple((comp.d, r) for comp, r in zip(dec.components, offsets))
+        """Pairs (d_i, r_i): component support size and folded offset of b.
 
-    def b_plus(self) -> RatVector:
-        proj, _ = intlat.project_fixed(self.b, self.decomposition())
-        return proj
+        r_i = (b . u_i) mod 1 folded into [0, 1/2]; r and 1 - r give the same
+        theta value and the same squared length set.
+        """
+        dec = self.decomposition()
+        return tuple((comp.d, min(r, 1 - r)) for comp, r in
+                     zip(dec.components, intlat.raw_offsets(self.b, dec)))
 
     def is_fixed_point_free(self) -> bool:
         """True when no translate B L_{b + lambda} fixes a point of R^4.
@@ -158,10 +156,6 @@ def build_group(generators: Sequence[AffineIsometry], name: str = "",
 # -- group level invariants ------------------------------------------------
 
 
-def holonomy_order(G: BieberbachGroup) -> int:
-    return G.order
-
-
 def is_orientable(G: BieberbachGroup) -> bool:
     return all(intlat.det(g.B) == 1 for g in G.holonomy)
 
@@ -214,10 +208,3 @@ def sunada_tuple(G: BieberbachGroup) -> tuple[int, ...]:
     c = sunada_numbers(G)
     return (c[1, 1], c[2, 1], c[2, 2], c[3, 1], c[3, 2], c[3, 3])
 
-
-def element_volume(g: AffineIsometry) -> QuadNumber:
-    return g.decomposition().volume()
-
-
-def binom4(p: int) -> int:
-    return comb(4, p)

@@ -4,6 +4,13 @@ Matrices are immutable tuples of tuples of ints (row major).  Vectors with
 rational entries are tuples of Fraction.  Everything here is small (4x4), so
 clarity beats asymptotics; the Smith reduction is plain gcd elimination with
 unimodular bookkeeping.
+
+Holonomy matrices are signed permutations, and `signed_cycles` is the one walk
+over their cycles.  A cycle of length k with sign product eps contributes the
+factor 1 - eps*(-t)^k to det(Id + t*B) (see kraw.charpoly_coeffs) and, when
+eps = +1, one fixed component of support size k (see decompose_fixed).  The
+general routines `det` (cofactor expansion) and `fixed_lattice_basis` (Smith
+reduction) do not use this structure.
 """
 from __future__ import annotations
 
@@ -240,66 +247,50 @@ def fixed_lattice_basis(B: IntMatrix) -> tuple[IntVector, ...]:
     return kernel_basis(mat_sub(B, identity(dim(B))))
 
 
+def signed_cycles(B: IntMatrix) -> list[tuple[tuple[tuple[int, int], ...], int]]:
+    """Cycles of a signed permutation as (orbit, eps), ordered by smallest axis.
+
+    Each cycle starts at its smallest axis a and lists (axis, sign) with
+    B^k e_a = sign * e_axis for k = 0, ..., len - 1; eps is the product of the
+    signs along the cycle, so B^len e_a = eps * e_a.
+    """
+    if not is_signed_permutation(B):
+        raise LatticeError("expected a signed permutation matrix")
+    image = {}
+    for j, row in enumerate(B):
+        for i, x in enumerate(row):
+            if x:
+                image[i] = (j, x)  # B e_i = x * e_j
+    seen = set()
+    cycles = []
+    for start in range(dim(B)):
+        if start in seen:
+            continue
+        orbit = []
+        axis, sign = start, 1
+        while axis not in seen:
+            seen.add(axis)
+            orbit.append((axis, sign))
+            axis, s = image[axis]
+            sign *= s
+        cycles.append((tuple(orbit), sign))
+    return cycles
+
+
 def decompose_fixed(B: IntMatrix) -> FixedDecomposition:
     """Fixed lattice of a signed permutation as disjoint-support {-1,0,1} vectors.
 
-    B permutes the signed coordinate axes; each cycle of the underlying
-    permutation whose sign product is +1 contributes one component supported
-    on the cycle.
+    Each cycle with sign product +1 contributes the fixed vector
+    sum_k B^k e_a supported on the cycle; cycles with product -1 fix nothing.
     """
-    if not is_signed_permutation(B):
-        raise LatticeError("decompose_fixed needs a signed permutation matrix")
-    n = dim(B)
-    image = {}
-    for i in range(n):
-        for j in range(n):
-            if B[j][i] != 0:
-                image[i] = (j, B[j][i])  # B e_i = sign * e_j
-    seen = [False] * n
     comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        cycle, signs = [], []
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            cycle.append(i)
-            j, s = image[i]
-            signs.append(s)
-            i = j
-        prod = 1
-        for s in signs:
-            prod *= s
-        if prod != 1:
-            continue
-        vec = [0] * n
-        vec[cycle[0]] = 1
-        for k in range(len(cycle) - 1):
-            vec[cycle[k + 1]] = vec[cycle[k]] * signs[k]
-        comps.append(FixedComponent(tuple(vec), len(cycle)))
-    comps.sort(key=lambda c: min(i for i, x in enumerate(c.vector) if x != 0))
+    for orbit, eps in signed_cycles(B):
+        if eps == 1:
+            vec = [0] * dim(B)
+            for axis, sign in orbit:
+                vec[axis] = sign
+            comps.append(FixedComponent(tuple(vec), len(orbit)))
     return FixedDecomposition(tuple(comps))
-
-
-def project_fixed(v: Sequence, dec: FixedDecomposition) -> tuple[RatVector, tuple[Fraction, ...]]:
-    """Orthogonal projection of v onto the fixed space, plus component offsets.
-
-    Offsets are (v . u_i) mod 1, folded into [0, 1/2] (the translate r and
-    1 - r give the same one-dimensional theta value and the same squared
-    length set).
-    """
-    n = len(v)
-    v = tuple(Fraction(x) for x in v)
-    proj = [Fraction(0)] * n
-    offsets = []
-    for comp in dec.components:
-        dot = sum(v[i] * comp.vector[i] for i in range(n))
-        for i in range(n):
-            proj[i] += dot * comp.vector[i] / comp.d
-        frac = dot - (dot.numerator // dot.denominator)
-        offsets.append(min(frac, 1 - frac))
-    return tuple(proj), tuple(offsets)
 
 
 def raw_offsets(v: Sequence, dec: FixedDecomposition) -> tuple[Fraction, ...]:

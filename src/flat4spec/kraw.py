@@ -1,16 +1,17 @@
 """Krawtchouk polynomials and exterior-power traces of integral orthogonal matrices.
 
 For a signed permutation matrix B acting on R^n, the trace of the induced
-action on p-forms is the coefficient of t^p in det(Id + t*B).  When B is
-diagonal with j entries equal to -1, this trace equals the Krawtchouk value
-K_p^n(j).
+action on p-forms is the coefficient of t^p in det(Id + t*B).  That
+determinant is a product over the cycles of B (intlat.signed_cycles): a cycle
+of length k whose signs multiply to eps contributes 1 - eps*(-t)^k.  When B is
+diagonal with j entries equal to -1, every cycle has length 1 and the trace is
+the Krawtchouk value K_p^n(j), the t^p coefficient of (1 + t)^(n-j) (1 - t)^j.
 """
 from __future__ import annotations
 
-from itertools import permutations
 from math import comb
 
-from .intlat import IntMatrix, dim
+from .intlat import IntMatrix, dim, signed_cycles
 
 
 def krawtchouk(n: int, p: int, j: int) -> int:
@@ -20,49 +21,15 @@ def krawtchouk(n: int, p: int, j: int) -> int:
     return sum((-1) ** t * comb(j, t) * comb(n - j, p - t) for t in range(p + 1))
 
 
-_PARITY_SIGN = {0: 1, 1: -1}
-
-
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def charpoly_coeffs(B: IntMatrix) -> tuple[int, ...]:
     """Coefficients (c_0, ..., c_n) of det(Id + t*B), so c_p = tr_p(B)."""
-    n = dim(B)
-    coeffs = [0] * (n + 1)
-    for perm in permutations(range(n)):
-        sign = _perm_sign(perm)
-        # each entry Id[i][perm[i]] + t*B[i][perm[i]] is linear in t
-        poly = [1]
-        for i in range(n):
-            const = 1 if perm[i] == i else 0
-            lin = B[i][perm[i]]
-            if const == 0 and lin == 0:
-                poly = None
-                break
-            nxt = [0] * (len(poly) + 1)
-            for k, c in enumerate(poly):
-                nxt[k] += c * const
-                nxt[k + 1] += c * lin
-            poly = nxt
-        if poly is None:
-            continue
-        for k, c in enumerate(poly):
-            coeffs[k] += sign * c
+    coeffs = [1] + [0] * dim(B)
+    for orbit, eps in signed_cycles(B):
+        # multiply by the cycle factor 1 - eps*(-t)^k in place, top degree first
+        k = len(orbit)
+        lead = -eps * (-1) ** k
+        for i in range(len(coeffs) - 1, k - 1, -1):
+            coeffs[i] += lead * coeffs[i - k]
     return tuple(coeffs)
 
 

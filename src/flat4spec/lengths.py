@@ -278,14 +278,18 @@ def _count_orbits(states: set[tuple], geo: CosetGeometry, maps) -> int:
     return orbits
 
 
+def _require_abelian(G: BieberbachGroup) -> None:
+    if not is_abelian_holonomy(G):
+        raise GroupError("nonabelian holonomy unsupported for length multiplicities")
+
+
 def length_multiplicity(G: BieberbachGroup, l2,
                         reps: list[tuple[IntMatrix, RatVec]] | None = None) -> int:
     """Number of conjugacy classes of G with squared length l2."""
     l2 = Fraction(l2)
     if l2 <= 0:
         raise ValueError("squared length must be positive")
-    if not is_abelian_holonomy(G):
-        raise GroupError("nonabelian holonomy unsupported for length multiplicities")
+    _require_abelian(G)
     if reps is None:
         reps = [(g.B, g.b) for g in G.nontrivial()]
     total = 0
@@ -317,4 +321,5 @@ def length_multiplicity(G: BieberbachGroup, l2,
 
 def length_spectrum(G: BieberbachGroup, max2) -> dict[Fraction, int]:
     """Map from squared length to class multiplicity, up to max2."""
+    _require_abelian(G)  # even when no length is <= max2
     return {l2: length_multiplicity(G, l2) for l2 in sorted(length_set(G, max2))}

@@ -58,14 +58,10 @@ def e_term(g, mu: int) -> complex:
     return total
 
 
-_ETERM_CACHE: dict[tuple[int, int], list[complex]] = {}
-
-
-def _e_terms(G: BieberbachGroup, mu: int) -> list[complex]:
-    key = (id(G), mu)
-    if key not in _ETERM_CACHE:
-        _ETERM_CACHE[key] = [e_term(g, mu) for g in G.holonomy]
-    return _ETERM_CACHE[key]
+@lru_cache(maxsize=None)
+def _e_terms(G: BieberbachGroup, mu: int) -> tuple[complex, ...]:
+    # keyed by group value: every degree p reuses the same e-sums
+    return tuple(e_term(g, mu) for g in G.holonomy)
 
 
 def multiplicity(G: BieberbachGroup, p: int, mu: int) -> int:

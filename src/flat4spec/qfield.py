@@ -176,6 +176,3 @@ class QuadNumber:
                 parts.append(text)
         return " ".join(parts) if parts else "0"
 
-
-ZERO = QuadNumber(0)
-ONE = QuadNumber(1)

@@ -141,21 +141,16 @@ def heat_trace_poly(G: BieberbachGroup, p: int) -> HeatTracePoly:
     """Exact p-form heat trace of R^4/G as a theta polynomial."""
     if not 0 <= p <= 4:
         raise ValueError("form degree out of range")
-    terms = []
+    # a monomial fixes the product D of its dimensions d, hence the common
+    # factor 1/vol = 1/sqrt(D) = sqrt(D)/D of every element it collects
+    trace_sums: dict[Monomial, int] = {}
     for g in G.holonomy:
         tr = g.traces()[p]
-        if tr == 0:
-            continue
-        dec = g.decomposition()
-        mono = monomial(((comp.d, r), 1) for comp, r in
-                        zip(dec.components, _offsets(g, dec)))
-        coef = QuadNumber(tr) / dec.volume()
-        terms.append((mono, coef))
+        if tr != 0:
+            mono = monomial(((d, r), 1) for d, r in g.translation_offsets())
+            trace_sums[mono] = trace_sums.get(mono, 0) + tr
+    terms = []
+    for mono, tr in trace_sums.items():
+        D = math.prod(d ** e for (d, _), e in mono)
+        terms.append((mono, QuadNumber.sqrt_int(D) * Fraction(tr, D)))
     return HeatTracePoly.from_terms(G.order, terms)
-
-
-def _offsets(g, dec):
-    from . import intlat
-
-    _, offsets = intlat.project_fixed(g.b, dec)
-    return offsets

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -67,6 +68,13 @@ def test_bracketL_classes(catalog):
     # nonabelian holonomy and the non-closing entry cannot be compared
     assert set(report.errors) == {"29'", "54", "56", "60", "61", "62", "67"}
     assert report.params == {"max_squared_length": "3"}
+
+
+def test_bracketL_errors_do_not_depend_on_bound(catalog):
+    # only 56, 60 and 61 have a squared length <= 1/16; every nonabelian
+    # group must still be reported rather than classified by an empty signature
+    report = classify_all(catalog.groups(), "bracketL", max2=Fraction(1, 16))
+    assert set(report.errors) == {"54", "56", "60", "61", "62", "67"}
 
 
 def test_bracketL_refines_L(catalog):

@@ -34,6 +34,24 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["lengths", "25", "--max-len2", "abc"],
+    ["lengths", "25", "--max-len2", "-1"],
+    ["lengths", "25", "--max-len2", "0"],
+    ["classify", "--mode", "bracketL", "--bound", "0"],
+    ["spectrum", "2", "--max-mu", "-3"],
+    ["crosscheck", "2", "-s", "-1"],
+    ["crosscheck", "2", "-s", "nan"],
+    ["crosscheck", "2", "--mu-max", "-1"],
+    ["crosscheck", "2", "--trunc", "1.5"],
+])
+def test_bad_option_values_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_invariants_json(capsys):
     code, out, _ = run(capsys, "invariants", "--json", "24", "67")
     assert code == 0

@@ -1,13 +1,15 @@
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flat4spec.group import AffineIsometry
 from flat4spec.intlat import (LatticeError, decompose_fixed, det,
                               fixed_lattice_basis, identity, kernel_basis,
-                              mat_mul, mat_sub, mat_vec, project_fixed,
-                              raw_offsets, smith_normal_form)
+                              mat_mul, mat_sub, mat_vec, raw_offsets,
+                              smith_normal_form)
 
 small_matrices = st.lists(
     st.lists(st.integers(min_value=-6, max_value=6), min_size=3, max_size=3),
@@ -61,29 +63,25 @@ def test_det_examples():
     assert det(((0, 1), (1, 0))) == -1
 
 
-SIGNED_PERMS_4 = []
+# all 384 signed 4x4 permutation matrices
+SIGNED_PERMS_4 = [
+    tuple(tuple(signs[i] if perm[i] == j else 0 for j in range(4))
+          for i in range(4))
+    for perm in permutations(range(4))
+    for signs in product((1, -1), repeat=4)
+]
 
 
-def _gen_signed_perms():
-    from itertools import permutations, product
-    for perm in permutations(range(4)):
-        for signs in product((1, -1), repeat=4):
-            SIGNED_PERMS_4.append(tuple(
-                tuple(signs[i] if perm[i] == j else 0 for j in range(4))
-                for i in range(4)
-            ))
-
-
-_gen_signed_perms()
-
-
-@pytest.mark.parametrize("B", SIGNED_PERMS_4[::17])
+@pytest.mark.parametrize("B", SIGNED_PERMS_4)
 def test_decompose_fixed_matches_kernel(B):
     dec = decompose_fixed(B)
     assert dec.rank == len(fixed_lattice_basis(B))
     for comp in dec.components:
         assert mat_vec(B, comp.vector) == comp.vector
         assert sum(x * x for x in comp.vector) == comp.d
+    # components come ordered by their smallest support index
+    firsts = [next(i for i, x in enumerate(c.vector) if x) for c in dec.components]
+    assert firsts == sorted(firsts)
 
 
 def test_decompose_fixed_rejects_general_matrices():
@@ -97,13 +95,12 @@ def test_project_fixed_folds_offsets():
     dec = decompose_fixed(B)
     assert [c.d for c in dec.components] == [1, 1, 2]
     v = (Fraction(3, 4), Fraction(1, 2), Fraction(1, 4), Fraction(1, 2))
-    proj, offsets = project_fixed(v, dec)
-    # folding sends 3/4 to 1/4 and the pair sum 3/4 to 1/4
-    assert offsets == (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
     raw = raw_offsets(v, dec)
     assert raw == (Fraction(3, 4), Fraction(1, 2), Fraction(3, 4))
-    # the projection lies in the fixed space
-    assert mat_vec(B, proj) == tuple(proj)
+    # folding sends 3/4 to 1/4 and the pair sum 3/4 to 1/4
+    g = AffineIsometry(B, v)
+    assert g.translation_offsets() == \
+        ((1, Fraction(1, 4)), (1, Fraction(1, 2)), (2, Fraction(1, 4)))
 
 
 def test_volume_of_components():

@@ -1,7 +1,9 @@
+from dataclasses import replace
 from math import comb, exp, pi
 
 import pytest
 
+from flat4spec.group import BieberbachGroup
 from flat4spec.numspec import (e_term, heat_trace_numeric, lattice_shell,
                                multiplicity)
 
@@ -27,6 +29,18 @@ def test_torus_multiplicities(catalog):
     for mu, r in enumerate(R4):
         for p in range(5):
             assert multiplicity(G, p, mu) == comb(4, p) * r
+
+
+def test_multiplicity_does_not_depend_on_object_identity(catalog):
+    # the group built right after a freed one usually takes its address (and
+    # so its id); results must follow the group's value, not its address
+    torus, two = catalog.group("1"), catalog.group("2")
+    for _ in range(50):
+        G = replace(torus)
+        assert multiplicity(G, 0, 1) == 8
+        del G
+        G = BieberbachGroup(two.name, two.generators, two.holonomy, two.metadata)
+        assert multiplicity(G, 0, 1) == 5
 
 
 def test_e_term_torus_identity(catalog):
