@@ -44,16 +44,9 @@ def L_isospectral(a: BieberbachGroup, b: BieberbachGroup, max2=4) -> bool:
     return same_support
 
 
-_BRACKETL_CACHE: dict[tuple, tuple] = {}
-
-
 def bracketL_signature(G: BieberbachGroup, max2) -> tuple:
-    # class-length spectra are by far the costliest signature; groups hash by
-    # their generators and holonomy, so equal groups share one computation
-    key = (G, Fraction(max2))
-    if key not in _BRACKETL_CACHE:
-        _BRACKETL_CACHE[key] = tuple(sorted(length_spectrum(G, max2).items()))
-    return _BRACKETL_CACHE[key]
+    """Sorted (squared length, class count) pairs up to max2."""
+    return tuple(sorted(length_spectrum(G, max2).items()))
 
 
 def bracketL_isospectral(a: BieberbachGroup, b: BieberbachGroup, max2=3) -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from . import intlat
@@ -108,6 +109,14 @@ class BieberbachGroup:
     generators: tuple[AffineIsometry, ...]
     holonomy: tuple[AffineIsometry, ...]  # identity first, then sorted
     metadata: dict = field(default_factory=dict, compare=False)
+
+    @cached_property
+    def _value_hash(self) -> int:
+        return hash((self.name, self.generators, self.holonomy))
+
+    def __hash__(self) -> int:
+        # hashed by value, once: per-group caches key on the group
+        return self._value_hash
 
     @property
     def order(self) -> int:

@@ -8,9 +8,11 @@ unimodular bookkeeping.
 Holonomy matrices are signed permutations, and `signed_cycles` is the one walk
 over their cycles.  A cycle of length k with sign product eps contributes the
 factor 1 - eps*(-t)^k to det(Id + t*B) (see kraw.charpoly_coeffs) and, when
-eps = +1, one fixed component of support size k (see decompose_fixed).  The
-general routines `det` (cofactor expansion) and `fixed_lattice_basis` (Smith
-reduction) do not use this structure.
+eps = +1, one fixed component of support size k (see decompose_fixed).  It
+also contributes Z (eps = +1) or Z/2 (eps = -1) to the quotient
+Z^4 / (B^{-1} - Id) Z^4 that labels conjugacy classes within a coset (see
+lengths).  The general routines `det` (cofactor expansion) and
+`fixed_lattice_basis` (Smith reduction) do not use this structure.
 """
 from __future__ import annotations
 

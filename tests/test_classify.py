@@ -72,9 +72,10 @@ def test_bracketL_classes(catalog):
 
 def test_bracketL_errors_do_not_depend_on_bound(catalog):
     # only 56, 60 and 61 have a squared length <= 1/16; every nonabelian
-    # group must still be reported rather than classified by an empty signature
+    # group and 29' must still be reported rather than classified by an
+    # empty signature
     report = classify_all(catalog.groups(), "bracketL", max2=Fraction(1, 16))
-    assert set(report.errors) == {"54", "56", "60", "61", "62", "67"}
+    assert set(report.errors) == {"29'", "54", "56", "60", "61", "62", "67"}
 
 
 def test_bracketL_refines_L(catalog):

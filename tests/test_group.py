@@ -91,6 +91,10 @@ def test_klein_type_group():
                     name="k")
     assert G.order == 2
     assert G.holonomy[0] == AffineIsometry.identity(4)
+    # the cached hash is by value: a separately built equal group matches
+    again = build_group([iso(diag(1, 1, 1, -1), [Fraction(1, 2), 0, 0, 0])],
+                        name=G.name)
+    assert again is not G and again == G and hash(again) == hash(G)
     assert not is_orientable(G)
     assert is_diagonal_type(G) and is_abelian_holonomy(G)
     assert [betti(G, p) for p in range(5)] == [1, 3, 3, 1, 0]

@@ -1,10 +1,13 @@
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
 from flat4spec.group import GroupError
-from flat4spec.lengths import (LengthError, coset_geometry, length_multiplicity,
-                               length_set, length_spectrum)
+from flat4spec.intlat import (identity, mat_sub, mat_vec, signed_cycles,
+                              smith_normal_form, transpose)
+from flat4spec.lengths import (LengthError, _canonical_state, coset_geometry,
+                               length_multiplicity, length_set, length_spectrum)
 
 F = Fraction
 
@@ -39,9 +42,11 @@ def test_nonabelian_holonomy_is_refused(catalog):
 
 
 def test_inconsistent_translations_are_refused(catalog):
-    # 29' does not close over the lattice, so rep conjugation leaves Z^4
-    with pytest.raises(LengthError):
-        length_spectrum(catalog.group("29'"), 2)
+    # 29' does not close over the lattice, so rep conjugation leaves Z^4;
+    # this is refused even below its shortest length
+    for max2 in (2, F(1, 100)):
+        with pytest.raises(LengthError):
+            length_spectrum(catalog.group("29'"), max2)
 
 
 def test_reps_order_invariance(catalog):
@@ -103,7 +108,31 @@ def test_length_set_matches_heat_trace_support(catalog):
 def test_coset_geometry_components(catalog):
     g = catalog.group("2").generators[0]
     geo = coset_geometry(g.B, g.b)
-    assert sorted(geo.ds) == sorted(d for d in geo.ds)
     assert len(geo.units) == len(geo.ds) == len(geo.s)
-    # torsion quotient divisors multiply to the index of (B^-1 - Id) Z^4
-    assert all(q >= 1 for q in geo.torsion_divisors)
+    # one state coordinate per signed cycle: Z for each fixed component,
+    # Z/2 for each cycle with sign product -1
+    assert len(geo.cycles) == len(geo.units) + sum(1 for _, eps in geo.cycles if eps == -1)
+    assert [len(orbit) for orbit, eps in geo.cycles if eps == 1] == list(geo.ds)
+
+
+def test_cycle_state_matches_smith_coordinates():
+    # Z^4 / (B^T - Id) Z^4 read off two ways: the per-cycle state, and the
+    # coordinates (U lam)_i mod D_ii (kept whole where D_ii = 0) from the
+    # Smith form U (B^T - Id) V = D; each must determine the other
+    for perm in permutations(range(4)):
+        for signs in product((1, -1), repeat=4):
+            B = tuple(tuple(signs[i] if perm[i] == j else 0 for j in range(4))
+                      for i in range(4))
+            U, D, _ = smith_normal_form(mat_sub(transpose(B), identity(4)))
+            cycles = signed_cycles(B)
+            pairs = set()
+            for lam in product(range(-2, 3), repeat=4):
+                coords = tuple(x % D[i][i] if D[i][i] else x
+                               for i, x in enumerate(mat_vec(U, lam)))
+                pairs.add((_canonical_state(cycles, lam), coords))
+            states = {s for s, _ in pairs}
+            assert len(states) == len({c for _, c in pairs}) == len(pairs), B
+            # the Smith form has a 0 per +1 cycle and a 2 per -1 cycle
+            n_twisted = sum(1 for _, eps in cycles if eps == -1)
+            assert sorted(D[i][i] for i in range(4) if D[i][i] != 1) == \
+                [0] * (len(cycles) - n_twisted) + [2] * n_twisted, B
