@@ -74,8 +74,12 @@ class AffineIsometry:
     def decomposition(self) -> FixedDecomposition:
         return intlat.decompose_fixed(self.B)
 
-    def traces(self) -> tuple[int, ...]:
+    @cached_property
+    def _traces(self) -> tuple[int, ...]:
         return charpoly_coeffs(self.B)
+
+    def traces(self) -> tuple[int, ...]:
+        return self._traces
 
     def translation_offsets(self) -> tuple[tuple[int, Fraction], ...]:
         """Pairs (d_i, r_i): component support size and folded offset of b.

@@ -1,4 +1,4 @@
-"""Numeric spectrum: eigenvalue multiplicities and truncated heat traces.
+"""Exact spectrum: eigenvalue multiplicities and truncated heat traces.
 
 The Laplacian on p-forms of R^4/Gamma has eigenvalues 4 pi^2 mu for integers
 mu >= 0 (the dual lattice of Z^4 is Z^4), with multiplicity
@@ -6,20 +6,29 @@ mu >= 0 (the dual lattice of Z^4 is Z^4), with multiplicity
     d_{p,mu} = (1/|F|) sum_gamma tr_p(B) e_{mu,gamma},
     e_{mu,gamma} = sum over v in the mu-shell with B v = v of exp(-2 pi i v.b).
 
-The e-sums are real in every case handled here, but are accumulated as
-complex and checked.
+If L is the common denominator of b, the phase v.b lies in (1/L)Z, so the
+e-sum is a count of fixed shell vectors per residue k = L v.b mod L weighted
+by cos(2 pi k / L) (v and -v are both fixed, so the sines cancel).  Those
+cosines are rational exactly for L in {1, 2, 3, 4, 6}, which covers every
+catalog translation; any other L is refused rather than approximated.
 """
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import exp, isqrt, pi
+from math import exp, isqrt, lcm, pi
 
 from .group import BieberbachGroup
-from .intlat import mat_vec
 
-_TWO_PI = 2.0 * pi
+_HALF = Fraction(1, 2)
+# cos(2 pi k / L) for k = 0, ..., L - 1, for the denominators L where it is rational
+_COSINES = {
+    1: (1,),
+    2: (1, -1),
+    3: (1, -_HALF, -_HALF),
+    4: (1, 0, -1, 0),
+    6: (1, _HALF, -_HALF, -1, -_HALF, _HALF),
+}
 
 
 @lru_cache(maxsize=None)
@@ -47,19 +56,30 @@ def lattice_shell(mu: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(out)
 
 
-def e_term(g, mu: int) -> complex:
-    """Sum of exp(-2 pi i v.b) over shell vectors fixed by the matrix part."""
-    total = 0 + 0j
+def e_term(g, mu: int) -> int | Fraction:
+    """Exact sum of exp(-2 pi i v.b) over shell vectors fixed by the matrix part."""
+    L = lcm(*(x.denominator for x in g.b))
+    cosines = _COSINES.get(L)
+    if cosines is None:
+        raise ArithmeticError(f"translation denominator {L}: phases are not rational")
+    lb = [int(x * L) for x in g.b]
+    # (B v)_i = s v_j for the one nonzero entry s = B[i][j]; rows with
+    # B[i][i] = 1 hold for every v
+    moved = [(i, j, s) for i, row in enumerate(g.B) for j, s in enumerate(row)
+             if s and (i != j or s != 1)]
+    counts = [0] * L
     for v in lattice_shell(mu):
-        if mat_vec(g.B, v) != v:
-            continue
-        phase = float(sum(Fraction(x) * bi for x, bi in zip(v, g.b)))
-        total += cmath.exp(-1j * _TWO_PI * phase)
-    return total
+        for i, j, s in moved:
+            if v[i] != s * v[j]:
+                break
+        else:
+            counts[(v[0] * lb[0] + v[1] * lb[1] + v[2] * lb[2] + v[3] * lb[3]) % L] += 1
+    total = sum(c * cos for c, cos in zip(counts, cosines))
+    return total.numerator if total.denominator == 1 else total
 
 
 @lru_cache(maxsize=None)
-def _e_terms(G: BieberbachGroup, mu: int) -> tuple[complex, ...]:
+def _e_terms(G: BieberbachGroup, mu: int) -> tuple[int | Fraction, ...]:
     # keyed by group value: every degree p reuses the same e-sums
     return tuple(e_term(g, mu) for g in G.holonomy)
 
@@ -68,16 +88,13 @@ def multiplicity(G: BieberbachGroup, p: int, mu: int) -> int:
     """Multiplicity of the eigenvalue 4 pi^2 mu of the p-form Laplacian."""
     if not 0 <= p <= 4:
         raise ValueError("form degree out of range")
-    total = 0 + 0j
-    for g, e in zip(G.holonomy, _e_terms(G, mu)):
-        total += g.traces()[p] * e
-    value = total / G.order
-    if abs(value.imag) > 1e-7 or abs(value.real - round(value.real)) > 1e-7:
+    total = sum(g.traces()[p] * e for g, e in zip(G.holonomy, _e_terms(G, mu)))
+    value = Fraction(total, G.order)
+    if value.denominator != 1:
         raise ArithmeticError(f"multiplicity not integral: {value}")
-    result = round(value.real)
-    if result < 0:
-        raise ArithmeticError(f"negative multiplicity {result}")
-    return result
+    if value < 0:
+        raise ArithmeticError(f"negative multiplicity {value}")
+    return value.numerator
 
 
 def heat_trace_numeric(G: BieberbachGroup, p: int, s: float, mu_max: int) -> float:

@@ -1,9 +1,15 @@
+import cmath
+from collections import Counter
 from dataclasses import replace
-from math import comb, exp, pi
+from fractions import Fraction
+from math import comb, cos, exp, pi
 
 import pytest
 
-from flat4spec.group import BieberbachGroup
+from flat4spec import group, numspec
+from flat4spec.group import AffineIsometry, BieberbachGroup, build_group
+from flat4spec.intlat import identity, mat_vec
+from flat4spec.kraw import charpoly_coeffs
 from flat4spec.numspec import (e_term, heat_trace_numeric, lattice_shell,
                                multiplicity)
 
@@ -45,7 +51,87 @@ def test_multiplicity_does_not_depend_on_object_identity(catalog):
 
 def test_e_term_torus_identity(catalog):
     g = catalog.group("1").holonomy[0]
-    assert e_term(g, 2) == pytest.approx(24)
+    assert e_term(g, 2) == 24
+
+
+def _e_term_float(g, mu):
+    """The e-sum as a complex exponential sum over shell vectors with B v = v."""
+    total = 0j
+    for v in lattice_shell(mu):
+        if mat_vec(g.B, v) == v:
+            phase = sum(Fraction(x) * bi for x, bi in zip(v, g.b))
+            total += cmath.exp(-2j * pi * float(phase))
+    return total
+
+
+def test_e_term_matches_exponential_sum(catalog):
+    elements = {(g.B, g.b): g for entry in catalog for g in entry.group.holonomy}
+    for g in elements.values():
+        for mu in range(13):
+            exact = e_term(g, mu)
+            assert isinstance(exact, (int, Fraction))
+            assert abs(_e_term_float(g, mu) - exact) < 1e-9, (g, mu)
+
+
+def test_e_term_phase_cosines():
+    # a pure translation by (k/L, 0, 0, 0) sums cos(2 pi k v_0 / L) over the
+    # shell; on the 1-shell that is 6 + 2 cos(2 pi k / L), an integer here
+    for L in (1, 2, 3, 4, 6):
+        for k in range(L):
+            g = AffineIsometry.make(identity(4), (Fraction(k, L), 0, 0, 0))
+            assert e_term(g, 1) == 6 + round(2 * cos(2 * pi * k / L)), (k, L)
+
+
+def test_e_term_refuses_irrational_phases():
+    # cos(2 pi / 8) = sqrt(2)/2 is not rational
+    g = AffineIsometry.make(identity(4), (Fraction(1, 8), 0, 0, 0))
+    with pytest.raises(ArithmeticError):
+        e_term(g, 1)
+
+
+def test_multiplicity_refuses_irrational_phases():
+    # a valid group whose translation has denominator 8; the 1/8 lies off the
+    # fixed space, but a denominator outside {1, 2, 3, 4, 6} is refused, not
+    # approximated
+    gen = AffineIsometry.make(((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0),
+                               (0, 0, 0, 1)), (Fraction(1, 2), Fraction(1, 8), 0, 0))
+    G = build_group([gen], name="eighth")
+    assert G.order == 2
+    with pytest.raises(ArithmeticError):
+        multiplicity(G, 0, 1)
+
+
+def test_multiplicity_refuses_nonintegral_sums(catalog, monkeypatch):
+    G = catalog.group("2")
+    assert G.order == 2
+    monkeypatch.setattr(numspec, "_e_terms", lambda G, mu: (1, 0))
+    with pytest.raises(ArithmeticError, match="not integral"):
+        multiplicity(G, 0, 1)
+    monkeypatch.setattr(numspec, "_e_terms", lambda G, mu: (Fraction(1, 2), Fraction(1, 2)))
+    with pytest.raises(ArithmeticError, match="not integral"):
+        multiplicity(G, 0, 1)
+    monkeypatch.setattr(numspec, "_e_terms", lambda G, mu: (-2, 0))
+    with pytest.raises(ArithmeticError, match="negative"):
+        multiplicity(G, 0, 1)
+
+
+def test_traces_computed_once_per_element(catalog, monkeypatch):
+    calls = Counter()
+
+    def counting(B):
+        calls[B] += 1
+        return charpoly_coeffs(B)
+
+    monkeypatch.setattr(group, "charpoly_coeffs", counting)
+    for gid in ("2", "42", "60"):
+        # a fresh build, so no element has computed its traces yet
+        G = build_group(catalog.group(gid).generators, name=f"fresh {gid}")
+        for p in range(5):
+            for mu in range(6):
+                multiplicity(G, p, mu)
+        assert sorted(calls) == sorted(g.B for g in G.holonomy), gid
+        assert set(calls.values()) == {1}, gid
+        calls.clear()
 
 
 def test_supersymmetry(catalog):
