@@ -7,12 +7,20 @@ group is the finite set of coset representatives mod the lattice.
 
 Composition follows from the action:
     (B, b) * (B', b') = (B B', B'^{-1} b + b')      (translation part mod Z^4)
+
+B' is a signed permutation, so B'^{-1} = B'^T and one product rule,
+`_compose`, forms both parts from the single nonzero entry of each row.  It
+needs only addition and negation of translations, so `build_group` runs the
+closure on integer translations scaled by D, the lcm of the generators'
+translation denominators, and reduces them mod D; that is arithmetic mod 1,
+exact.  Only the final holonomy elements become `AffineIsometry` objects.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 from . import intlat
@@ -34,6 +42,28 @@ def _norm_vec(v: Sequence) -> RatVector:
     return tuple(out)
 
 
+def _compose(A: IntMatrix, a: Sequence, B: IntMatrix, b: Sequence) -> tuple[IntMatrix, tuple]:
+    """(A, a) * (B, b) = (A B, B^T a + b) for signed permutations A and B.
+
+    Row i of A B is s * B[j] for the one nonzero entry s = A[i][j], and each
+    entry s = B[i][j] adds s * a_i to coordinate j of B^T a.  The translation
+    part is not reduced mod the lattice.
+    """
+    rows = []
+    for row in A:
+        for j, s in enumerate(row):
+            if s:
+                break
+        rows.append(B[j] if s == 1 else tuple(-x for x in B[j]))
+    t = list(b)
+    for x, row in zip(a, B):
+        for j, s in enumerate(row):
+            if s:
+                break
+        t[j] += x if s == 1 else -x
+    return tuple(rows), tuple(t)
+
+
 @dataclass(frozen=True)
 class AffineIsometry:
     B: IntMatrix
@@ -53,9 +83,7 @@ class AffineIsometry:
         return cls(intlat.identity(n), (Fraction(0),) * n)
 
     def __mul__(self, other: "AffineIsometry") -> "AffineIsometry":
-        binv = intlat.transpose(other.B)  # orthogonal: inverse is transpose
-        newb = tuple(x + y for x, y in zip(intlat.mat_vec(binv, self.b), other.b))
-        return AffineIsometry(intlat.mat_mul(self.B, other.B), newb)
+        return AffineIsometry(*_compose(self.B, self.b, other.B, other.b))
 
     def inverse(self) -> "AffineIsometry":
         binv = intlat.transpose(self.B)
@@ -103,10 +131,6 @@ class AffineIsometry:
         return any(r != 0 for r in raw)
 
 
-def _sort_key(g: AffineIsometry):
-    return (g.B, g.b)
-
-
 @dataclass(frozen=True)
 class BieberbachGroup:
     name: str
@@ -134,30 +158,36 @@ def build_group(generators: Sequence[AffineIsometry], name: str = "",
                 metadata: dict | None = None) -> BieberbachGroup:
     """Close the generators modulo Z^4 and validate the Bieberbach conditions."""
     gens = tuple(generators)
-    ident = AffineIsometry.identity(4)
-    elements = {ident.B: ident}
-    order = [ident]
+    D = lcm(*(x.denominator for g in gens for x in g.b))
+    scaled = [(g.B, tuple(x.numerator * (D // x.denominator) for x in g.b))
+              for g in gens]
+    ident = intlat.identity(4)
+    # matrix -> D * translation mod D of the first representative found
+    elements = {ident: (0,) * 4}
     consistent = True
     frontier = [ident]
     while frontier:
         cur = frontier.pop(0)
-        for g in gens:
-            for nxt in (cur * g, g * cur):
-                if nxt.B not in elements:
+        a = elements[cur]
+        for B, b in scaled:
+            for M, t in (_compose(cur, a, B, b), _compose(B, b, cur, a)):
+                t = tuple(x % D for x in t)
+                first = elements.get(M)
+                if first is None:
                     if len(elements) >= MAX_HOLONOMY_ORDER:
                         raise GroupError("holonomy closure exceeded bound 48")
-                    elements[nxt.B] = nxt
-                    order.append(nxt)
-                    frontier.append(nxt)
-                elif elements[nxt.B].b != nxt.b:
+                    elements[M] = t
+                    frontier.append(M)
+                elif first != t:
                     # The products do not close over Z^4; one catalog entry
                     # (29') has this defect as printed.  Keep the first
                     # representative found per matrix (breadth-first, hence
                     # deterministic) and record the inconsistency.
                     consistent = False
-    holonomy = sorted(elements.values(), key=_sort_key)
-    holonomy.remove(ident)
-    holonomy.insert(0, ident)
+    # identity first, then sorted by matrix (each matrix occurs once)
+    holonomy = [AffineIsometry.identity(4)]
+    holonomy += [AffineIsometry(M, tuple(Fraction(x, D) for x in t))
+                 for M, t in sorted(elements.items()) if M != ident]
     for g in holonomy[1:]:
         if not g.is_fixed_point_free():
             raise GroupError(f"not torsion-free: element with matrix {g.B} fixes a point")

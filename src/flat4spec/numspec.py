@@ -8,15 +8,16 @@ mu >= 0 (the dual lattice of Z^4 is Z^4), with multiplicity
 
 If L is the common denominator of b, the phase v.b lies in (1/L)Z, so the
 e-sum is a count of fixed shell vectors per residue k = L v.b mod L weighted
-by cos(2 pi k / L) (v and -v are both fixed, so the sines cancel).  Those
-cosines are rational exactly for L in {1, 2, 3, 4, 6}, which covers every
-catalog translation; any other L is refused rather than approximated.
+by cos(2 pi k / L) (v and -v are both fixed, so the sines cancel).  That
+cosine is rational exactly when k/L in lowest terms has denominator 1, 2, 3,
+4 or 6, which covers every catalog translation; a fixed vector with any
+other phase denominator is refused rather than approximated.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import exp, isqrt, lcm, pi
+from math import exp, gcd, isqrt, lcm, pi
 
 from .group import BieberbachGroup
 
@@ -59,9 +60,6 @@ def lattice_shell(mu: int) -> tuple[tuple[int, int, int, int], ...]:
 def e_term(g, mu: int) -> int | Fraction:
     """Exact sum of exp(-2 pi i v.b) over shell vectors fixed by the matrix part."""
     L = lcm(*(x.denominator for x in g.b))
-    cosines = _COSINES.get(L)
-    if cosines is None:
-        raise ArithmeticError(f"translation denominator {L}: phases are not rational")
     lb = [int(x * L) for x in g.b]
     # (B v)_i = s v_j for the one nonzero entry s = B[i][j]; rows with
     # B[i][i] = 1 hold for every v
@@ -74,7 +72,17 @@ def e_term(g, mu: int) -> int | Fraction:
                 break
         else:
             counts[(v[0] * lb[0] + v[1] * lb[1] + v[2] * lb[2] + v[3] * lb[3]) % L] += 1
-    total = sum(c * cos for c, cos in zip(counts, cosines))
+    total = 0
+    for k, count in enumerate(counts):
+        if count:
+            # the phase k/L in lowest terms; b off the fixed space can make L
+            # larger than the phase denominators that occur
+            d = gcd(k, L)
+            cosines = _COSINES.get(L // d)
+            if cosines is None:
+                raise ArithmeticError(
+                    f"phase denominator {L // d}: cos(2 pi {k // d}/{L // d}) is not rational")
+            total += count * cosines[k // d]
     return total.numerator if total.denominator == 1 else total
 
 

@@ -1,29 +1,30 @@
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flat4spec.group import (AffineIsometry, GroupError, betti, build_group,
-                             is_abelian_holonomy, is_diagonal_type,
-                             is_orientable, sunada_numbers, sunada_tuple)
-from flat4spec.intlat import det, identity, kernel_basis, mat_sub
+from flat4spec.group import (MAX_HOLONOMY_ORDER, AffineIsometry, GroupError,
+                             betti, build_group, is_abelian_holonomy,
+                             is_diagonal_type, is_orientable, sunada_numbers,
+                             sunada_tuple)
+from flat4spec.intlat import (det, identity, kernel_basis, mat_mul, mat_sub,
+                              mat_vec, transpose)
 
+ALL_SIGNED_PERMS = [
+    tuple(tuple(signs[i] if perm[i] == j else 0 for j in range(4)) for i in range(4))
+    for perm in permutations(range(4)) for signs in product((1, -1), repeat=4)
+]
 quarters = st.fractions(min_value=0, max_value=1, max_denominator=4)
-signed_perms = st.builds(
-    lambda perm, signs: tuple(
-        tuple(signs[i] if perm[i] == j else 0 for j in range(4))
-        for i in range(4)
-    ),
-    st.permutations(range(4)),
-    st.tuples(*(st.sampled_from((1, -1)) for _ in range(4))),
-)
+signed_perms = st.sampled_from(ALL_SIGNED_PERMS)
 isometries = st.builds(
     AffineIsometry,
     signed_perms,
     st.tuples(quarters, quarters, quarters, quarters),
 )
+FOUR_CYCLE = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0))
 
 
 def iso(rows, b):
@@ -71,19 +72,114 @@ def test_translation_is_normalized():
 
 
 def test_torsion_is_rejected():
-    # a point reflection with no translation fixes the origin
-    with pytest.raises(GroupError, match="torsion"):
-        build_group([iso(diag(-1, 1, 1, 1), [0, 0, 0, 0])])
-    # offsets on the rotated part alone do not remove the fixed point
-    with pytest.raises(GroupError, match="torsion"):
-        build_group([iso(diag(-1, 1, 1, 1), [Fraction(1, 2), 0, 0, 0])])
+    # a point reflection with no translation fixes the origin, and offsets on
+    # the rotated part alone, or integral ones, do not remove the fixed point
+    for b in ([0, 0, 0, 0], [Fraction(1, 2), 0, 0, 0], [0, 3, 0, 0]):
+        gens = [iso(diag(-1, 1, 1, 1), b)]
+        with pytest.raises(GroupError, match="torsion"):
+            build_group(gens)
+        assert _closure(gens) == _closure_oracle(gens) == (
+            "not torsion-free: element with matrix ((-1, 0, 0, 0), (0, 1, 0, 0), "
+            "(0, 0, 1, 0), (0, 0, 0, 1)) fixes a point")
 
 
 def test_closure_bound():
-    four_cycle = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0))
+    # B4 has order 384 > MAX_HOLONOMY_ORDER
+    gens = [iso(FOUR_CYCLE, [0, 0, 0, 0]), iso(diag(-1, 1, 1, 1), [0, 0, 0, 0])]
     with pytest.raises(GroupError, match="closure"):
-        build_group([iso(four_cycle, [0, 0, 0, 0]),
-                     iso(diag(-1, 1, 1, 1), [0, 0, 0, 0])])
+        build_group(gens)
+    assert _closure(gens) == _closure_oracle(gens) == "holonomy closure exceeded bound 48"
+
+
+def _generic_product(x, y):
+    """(A, a) * (B, b) = (A B, B^T a + b mod 1) with generic matrix arithmetic."""
+    (A, a), (B, b) = x, y
+    return mat_mul(A, B), tuple((u + v) % 1 for u, v in zip(mat_vec(transpose(B), a), b))
+
+
+def test_product_matches_generic_formula():
+    rng = random.Random(384)
+    rights = (identity(4), diag(-1, 1, 1, -1), FOUR_CYCLE,
+              ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, -1, 0)))
+
+    def translation():
+        return tuple(Fraction(rng.randrange(-30, 30), rng.choice((1, 2, 3, 5, 8, 12)))
+                     for _ in range(4))
+
+    assert len(set(ALL_SIGNED_PERMS)) == 384
+    for A in ALL_SIGNED_PERMS:
+        for B in rights:
+            a, b = translation(), translation()
+            got = AffineIsometry.make(A, a) * AffineIsometry.make(B, b)
+            assert (got.B, got.b) == _generic_product((A, a), (B, b)), (A, a, B, b)
+
+
+def _closure_oracle(generators):
+    """build_group's breadth-first closure, with generic Fraction arithmetic.
+
+    Returns the holonomy as (B, b) pairs (identity first, then sorted) and
+    the translation_consistent flag, or the GroupError message.
+    """
+    ident = (identity(4), (Fraction(0),) * 4)
+    gens = [(g.B, g.b) for g in generators]
+    elements = {ident[0]: ident}
+    consistent = True
+    frontier = [ident]
+    while frontier:
+        cur = frontier.pop(0)
+        for g in gens:
+            for nxt in (_generic_product(cur, g), _generic_product(g, cur)):
+                if nxt[0] not in elements:
+                    if len(elements) >= MAX_HOLONOMY_ORDER:
+                        return f"holonomy closure exceeded bound {MAX_HOLONOMY_ORDER}"
+                    elements[nxt[0]] = nxt
+                    frontier.append(nxt)
+                elif elements[nxt[0]][1] != nxt[1]:
+                    consistent = False
+    rest = sorted(x for x in elements.values() if x != ident)
+    for B, b in rest:
+        if not AffineIsometry(B, b).is_fixed_point_free():
+            return f"not torsion-free: element with matrix {B} fixes a point"
+    return (ident, *rest), consistent
+
+
+def _closure(generators):
+    try:
+        G = build_group(generators)
+    except GroupError as exc:
+        return str(exc)
+    return tuple((g.B, g.b) for g in G.holonomy), G.metadata["translation_consistent"]
+
+
+def test_closure_matches_oracle_on_catalog(catalog):
+    for entry in catalog:
+        got = _closure(entry.group.generators)
+        assert got == _closure_oracle(entry.group.generators), entry.id
+        assert got == (tuple((g.B, g.b) for g in entry.group.holonomy),
+                       entry.id != "29'"), entry.id
+
+
+@pytest.mark.parametrize("den", (12, 5))
+@given(data=st.data())
+def test_closure_matches_oracle_on_random_generators(den, data):
+    translations = st.tuples(*(st.integers(0, den - 1).map(lambda k: Fraction(k, den))
+                               for _ in range(4)))
+    gens = data.draw(st.lists(st.builds(AffineIsometry, signed_perms, translations),
+                              min_size=1, max_size=3))
+    assert _closure(gens) == _closure_oracle(gens)
+
+
+@pytest.mark.parametrize("gens, order", [
+    ([], 1),  # the trivial group: lcm() is 1
+    ([iso(identity(4), [1, 0, -2, 0])], 1),
+    ([iso(diag(1, 1, 1, -1), [Fraction(1, 2), 0, 0, 0]), iso(identity(4), [0, 3, 0, 0])], 2),
+    ([iso(diag(1, 1, 1, -1), [Fraction(3, 2), 0, 0, 0])], 2),
+])
+def test_closure_with_trivial_or_integral_translations(gens, order):
+    holonomy, consistent = got = _closure(gens)
+    assert got == _closure_oracle(gens)
+    assert len(holonomy) == order and consistent
+    assert holonomy[0] == (identity(4), (0, 0, 0, 0))
 
 
 def test_klein_type_group():

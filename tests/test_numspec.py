@@ -89,16 +89,19 @@ def test_e_term_refuses_irrational_phases():
         e_term(g, 1)
 
 
-def test_multiplicity_refuses_irrational_phases():
+def test_multiplicity_with_rational_phases_off_the_fixed_space():
     # a valid group whose translation has denominator 8; the 1/8 lies off the
-    # fixed space, but a denominator outside {1, 2, 3, 4, 6} is refused, not
-    # approximated
+    # fixed space (fixed vectors have v_1 = 0), so every phase lies in (1/2)Z
+    # and the e-sums are exact
     gen = AffineIsometry.make(((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0),
                                (0, 0, 0, 1)), (Fraction(1, 2), Fraction(1, 8), 0, 0))
     G = build_group([gen], name="eighth")
     assert G.order == 2
-    with pytest.raises(ArithmeticError):
-        multiplicity(G, 0, 1)
+    for p in range(5):
+        for mu in range(7):
+            oracle = sum(g.traces()[p] * _e_term_float(g, mu)
+                         for g in G.holonomy) / G.order
+            assert abs(multiplicity(G, p, mu) - oracle) < 1e-9, (p, mu)
 
 
 def test_multiplicity_refuses_nonintegral_sums(catalog, monkeypatch):
