@@ -14,9 +14,17 @@ needs only addition and negation of translations, so `build_group` runs the
 closure on integer translations scaled by D, the lcm of the generators'
 translation denominators, and reduces them mod D; that is arithmetic mod 1,
 exact.  Only the final holonomy elements become `AffineIsometry` objects.
+`build_group` refuses generators that are not 4x4 with 4 translation entries.
+
+Each element computes its invariants once, from one walk over the signed
+cycles of B (intlat.signed_cycles), and keeps them: the p-form traces, the
+fixed decomposition, the raw and folded component offsets of b and the
+p-independent theta monomial.  Torsion-freeness, Betti numbers,
+orientability (det B = tr_4 B) and the heat traces all read these values.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -25,9 +33,10 @@ from typing import Sequence
 
 from . import intlat
 from .intlat import FixedDecomposition, IntMatrix, RatVector
-from .kraw import charpoly_coeffs
+from .kraw import cycle_charpoly
 
 MAX_HOLONOMY_ORDER = 48
+_HALF = Fraction(1, 2)
 
 
 class GroupError(ValueError):
@@ -37,8 +46,9 @@ class GroupError(ValueError):
 def _norm_vec(v: Sequence) -> RatVector:
     out = []
     for x in v:
-        f = Fraction(x)
-        out.append(f - (f.numerator // f.denominator))
+        f = x if isinstance(x, Fraction) else Fraction(x)
+        floor = f.numerator // f.denominator
+        out.append(f - floor if floor else f)
     return tuple(out)
 
 
@@ -98,16 +108,32 @@ class AffineIsometry:
         return intlat.mat_vec(self.B, shifted)
 
     # -- invariants ----------------------------------------------------
-
-    def decomposition(self) -> FixedDecomposition:
-        return intlat.decompose_fixed(self.B)
+    # Computed once per element, from one walk over the signed cycles of B,
+    # and kept in the instance dict (not in the compared and hashed fields).
 
     @cached_property
-    def _traces(self) -> tuple[int, ...]:
-        return charpoly_coeffs(self.B)
+    def _cycle_invariants(self) -> tuple[tuple[int, ...], FixedDecomposition]:
+        cycles = intlat.signed_cycles(self.B)
+        return cycle_charpoly(cycles), intlat.cycle_decomposition(cycles)
+
+    @cached_property
+    def _raw_offsets(self) -> tuple[Fraction, ...]:
+        return intlat.raw_offsets(self.b, self.decomposition())
+
+    @cached_property
+    def _offsets(self) -> tuple[tuple[int, Fraction], ...]:
+        return tuple((comp.d, min(r, 1 - r)) for comp, r in
+                     zip(self.decomposition().components, self._raw_offsets))
+
+    @cached_property
+    def _theta_monomial(self) -> tuple[tuple[tuple[int, Fraction], int], ...]:
+        return tuple(sorted(Counter(self._offsets).items()))
+
+    def decomposition(self) -> FixedDecomposition:
+        return self._cycle_invariants[1]
 
     def traces(self) -> tuple[int, ...]:
-        return self._traces
+        return self._cycle_invariants[0]
 
     def translation_offsets(self) -> tuple[tuple[int, Fraction], ...]:
         """Pairs (d_i, r_i): component support size and folded offset of b.
@@ -115,9 +141,15 @@ class AffineIsometry:
         r_i = (b . u_i) mod 1 folded into [0, 1/2]; r and 1 - r give the same
         theta value and the same squared length set.
         """
-        dec = self.decomposition()
-        return tuple((comp.d, min(r, 1 - r)) for comp, r in
-                     zip(dec.components, intlat.raw_offsets(self.b, dec)))
+        return self._offsets
+
+    def theta_monomial(self) -> tuple[tuple[tuple[int, Fraction], int], ...]:
+        """The sorted ((d, r), exponent) pairs of prod_i z_{d_i, r_i}.
+
+        It does not depend on the form degree p; it equals
+        theta.monomial(((d, r), 1) for d, r in self.translation_offsets()).
+        """
+        return self._theta_monomial
 
     def is_fixed_point_free(self) -> bool:
         """True when no translate B L_{b + lambda} fixes a point of R^4.
@@ -127,8 +159,7 @@ class AffineIsometry:
         """
         if self.is_identity_matrix():
             return False
-        raw = intlat.raw_offsets(self.b, self.decomposition())
-        return any(r != 0 for r in raw)
+        return any(r != 0 for r in self._raw_offsets)
 
 
 @dataclass(frozen=True)
@@ -158,6 +189,10 @@ def build_group(generators: Sequence[AffineIsometry], name: str = "",
                 metadata: dict | None = None) -> BieberbachGroup:
     """Close the generators modulo Z^4 and validate the Bieberbach conditions."""
     gens = tuple(generators)
+    for k, g in enumerate(gens, 1):
+        if len(g.B) != 4 or len(g.b) != 4:
+            raise GroupError(f"generator {k} has a {len(g.B)}x{len(g.B)} matrix and "
+                             f"{len(g.b)} translation entries; expected 4x4 and 4")
     D = lcm(*(x.denominator for g in gens for x in g.b))
     scaled = [(g.B, tuple(x.numerator * (D // x.denominator) for x in g.b))
               for g in gens]
@@ -200,7 +235,8 @@ def build_group(generators: Sequence[AffineIsometry], name: str = "",
 
 
 def is_orientable(G: BieberbachGroup) -> bool:
-    return all(intlat.det(g.B) == 1 for g in G.holonomy)
+    # det B = tr_4(B), the top coefficient of det(Id + t*B)
+    return all(g.traces()[4] == 1 for g in G.holonomy)
 
 
 def is_diagonal_type(G: BieberbachGroup) -> bool:
@@ -239,8 +275,8 @@ def sunada_numbers(G: BieberbachGroup) -> dict[tuple[int, int], int]:
     for g in G.nontrivial():
         fixed = [i for i in range(4) if g.B[i][i] == 1]
         d = len(fixed)
-        t = sum(1 for i in fixed if g.b[i] == Fraction(1, 2))
-        if any(g.b[i] not in (Fraction(0), Fraction(1, 2)) for i in fixed):
+        t = sum(1 for i in fixed if g.b[i] == _HALF)
+        if any(g.b[i] not in (0, _HALF) for i in fixed):
             raise GroupError("diagonal group with offsets outside {0, 1/2}")
         counts[(d, t)] += 1
     return counts

@@ -3,7 +3,8 @@
 Matrices are immutable tuples of tuples of ints (row major).  Vectors with
 rational entries are tuples of Fraction.  Everything here is small (4x4), so
 clarity beats asymptotics; the Smith reduction is plain gcd elimination with
-unimodular bookkeeping.
+unimodular bookkeeping.  `raw_offsets` works on a rational vector scaled to
+integers by the lcm of its denominators and makes one Fraction per offset.
 
 Holonomy matrices are signed permutations, and `signed_cycles` is the one walk
 over their cycles.  A cycle of length k with sign product eps contributes the
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .qfield import QuadNumber
@@ -63,16 +65,17 @@ def mat_sub(A: IntMatrix, B: IntMatrix) -> IntMatrix:
 
 
 def is_signed_permutation(M: IntMatrix) -> bool:
+    """One pass: each row has one nonzero entry, it is +-1, and the columns differ."""
     n = len(M)
-    if any(len(row) != n for row in M):
-        return False
+    cols = set()
     for row in M:
-        if sum(1 for x in row if x in (1, -1)) != 1 or any(x not in (-1, 0, 1) for x in row):
+        if len(row) != n:
             return False
-    for col in transpose(M):
-        if sum(1 for x in col if x != 0) != 1:
+        nonzero = [j for j, x in enumerate(row) if x]
+        if len(nonzero) != 1 or row[nonzero[0]] not in (1, -1):
             return False
-    return True
+        cols.add(nonzero[0])
+    return len(cols) == n
 
 
 def det(M: IntMatrix) -> int:
@@ -223,13 +226,13 @@ def kernel_basis(M: IntMatrix) -> tuple[IntVector, ...]:
 # -- fixed lattices of signed permutations --------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FixedComponent:
     vector: IntVector  # entries in {-1, 0, 1}
     d: int             # support size, equal to |vector|^2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FixedDecomposition:
     components: tuple[FixedComponent, ...]
 
@@ -280,15 +283,21 @@ def signed_cycles(B: IntMatrix) -> list[tuple[tuple[tuple[int, int], ...], int]]
 
 
 def decompose_fixed(B: IntMatrix) -> FixedDecomposition:
-    """Fixed lattice of a signed permutation as disjoint-support {-1,0,1} vectors.
+    """Fixed lattice of a signed permutation as disjoint-support {-1,0,1} vectors."""
+    return cycle_decomposition(signed_cycles(B))
+
+
+def cycle_decomposition(cycles) -> FixedDecomposition:
+    """The fixed components of the signed permutation with these signed cycles.
 
     Each cycle with sign product +1 contributes the fixed vector
     sum_k B^k e_a supported on the cycle; cycles with product -1 fix nothing.
     """
+    n = sum(len(orbit) for orbit, _ in cycles)
     comps = []
-    for orbit, eps in signed_cycles(B):
+    for orbit, eps in cycles:
         if eps == 1:
-            vec = [0] * dim(B)
+            vec = [0] * n
             for axis, sign in orbit:
                 vec[axis] = sign
             comps.append(FixedComponent(tuple(vec), len(orbit)))
@@ -296,10 +305,13 @@ def decompose_fixed(B: IntMatrix) -> FixedDecomposition:
 
 
 def raw_offsets(v: Sequence, dec: FixedDecomposition) -> tuple[Fraction, ...]:
-    """Component offsets (v . u_i) mod 1 without folding."""
-    v = tuple(Fraction(x) for x in v)
-    out = []
-    for comp in dec.components:
-        dot = sum(v[i] * comp.vector[i] for i in range(len(v)))
-        out.append(dot - (dot.numerator // dot.denominator))
-    return tuple(out)
+    """Component offsets (v . u_i) mod 1 without folding; v holds ints or Fractions.
+
+    The dot products run on the integers D*v, for D the lcm of the
+    denominators of v, over each component's support only.
+    """
+    D = lcm(*(x.denominator for x in v))
+    scaled = [x.numerator * (D // x.denominator) for x in v]
+    return tuple(
+        Fraction(sum(scaled[i] * u for i, u in enumerate(comp.vector) if u) % D, D)
+        for comp in dec.components)

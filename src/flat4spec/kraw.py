@@ -23,8 +23,13 @@ def krawtchouk(n: int, p: int, j: int) -> int:
 
 def charpoly_coeffs(B: IntMatrix) -> tuple[int, ...]:
     """Coefficients (c_0, ..., c_n) of det(Id + t*B), so c_p = tr_p(B)."""
-    coeffs = [1] + [0] * dim(B)
-    for orbit, eps in signed_cycles(B):
+    return cycle_charpoly(signed_cycles(B))
+
+
+def cycle_charpoly(cycles) -> tuple[int, ...]:
+    """det(Id + t*B) for the signed permutation B with these signed cycles."""
+    coeffs = [1] + [0] * sum(len(orbit) for orbit, _ in cycles)
+    for orbit, eps in cycles:
         # multiply by the cycle factor 1 - eps*(-t)^k in place, top degree first
         k = len(orbit)
         lead = -eps * (-1) ** k

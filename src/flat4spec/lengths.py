@@ -171,8 +171,12 @@ def _count_orbits(states: set[tuple[int, ...]], geo: CosetGeometry, maps) -> int
 
 
 def _class_counts(G: BieberbachGroup, max2,
-                  reps: list[tuple[IntMatrix, RatVec]] | None = None) -> dict[Fraction, int]:
-    """Number of conjugacy classes of G per squared length 0 < l2 <= max2."""
+                  reps: list[tuple[IntMatrix, RatVec]] | None = None,
+                  exact: bool = False) -> dict[Fraction, int]:
+    """Number of conjugacy classes of G per squared length 0 < l2 <= max2.
+
+    With exact=True only the classes of squared length max2 are counted.
+    """
     if not is_abelian_holonomy(G):
         raise GroupError("nonabelian holonomy unsupported for length multiplicities")
     if reps is None:
@@ -184,6 +188,8 @@ def _class_counts(G: BieberbachGroup, max2,
         # built before the enumeration, so a refusal does not depend on max2
         maps = _conjugation_maps(geo, reps)
         for l2, sols in _solutions(geo, max2).items():
+            if exact and l2 != max2:
+                continue
             states = {state for ks in sols for state in _states(geo, ks)}
             counts[l2] = counts.get(l2, 0) + _count_orbits(states, geo, maps)
     return dict(sorted(counts.items()))
@@ -195,7 +201,7 @@ def length_multiplicity(G: BieberbachGroup, l2,
     l2 = Fraction(l2)
     if l2 <= 0:
         raise ValueError("squared length must be positive")
-    return _class_counts(G, l2, reps).get(l2, 0)
+    return _class_counts(G, l2, reps, exact=True).get(l2, 0)
 
 
 def length_spectrum(G: BieberbachGroup, max2) -> dict[Fraction, int]:

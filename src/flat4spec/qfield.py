@@ -85,6 +85,9 @@ class QuadNumber:
         return QuadNumber.coerce(other) + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational factor scales each coordinate
+            return QuadNumber(self.a * other, self.b * other, self.c * other, self.d * other)
         o = QuadNumber.coerce(other)
         a1, b1, c1, d1 = self.a, self.b, self.c, self.d
         a2, b2, c2, d2 = o.a, o.b, o.c, o.d

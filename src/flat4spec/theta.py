@@ -147,7 +147,7 @@ def heat_trace_poly(G: BieberbachGroup, p: int) -> HeatTracePoly:
     for g in G.holonomy:
         tr = g.traces()[p]
         if tr != 0:
-            mono = monomial(((d, r), 1) for d, r in g.translation_offsets())
+            mono = g.theta_monomial()
             trace_sums[mono] = trace_sums.get(mono, 0) + tr
     terms = []
     for mono, tr in trace_sums.items():

@@ -114,3 +114,21 @@ def test_entry_flags_match_group(catalog):
         assert entry.orientable == is_orientable(entry.group)
         assert entry.diagonal == is_diagonal_type(entry.group)
         assert entry.group.name == entry.id
+
+
+@pytest.mark.parametrize("field, value, shape", [
+    ("matrix", [[1, 0, 0], [0, 1, 0], [0, 0, -1]], "3x3 matrix and 4"),
+    ("matrix", [[1 if i == j else 0 for j in range(5)] for i in range(5)],
+     "5x5 matrix and 4"),
+    ("translation", ["0", "0", "1/2"], "4x4 matrix and 3"),
+])
+def test_malformed_generator_shapes_are_reported(tmp_path, field, value, shape):
+    data = _base_data()
+    entry = next(e for e in data["entries"] if e["id"] == "2")
+    entry["generators"][0][field] = value
+    data.pop("count", None)
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(_write(tmp_path, data))
+    assert str(exc.value) == (
+        f"invalid catalog entries: 2: generator 1 has a {shape} translation "
+        "entries; expected 4x4 and 4")

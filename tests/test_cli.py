@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from flat4spec.catalog import catalog_path
 from flat4spec.cli import main
 
 
@@ -23,6 +24,19 @@ def test_validate_bad_catalog(capsys, tmp_path):
     code, _, err = run(capsys, "--catalog", str(bad), "validate")
     assert code == 1
     assert "error:" in err
+
+
+def test_validate_malformed_generator(capsys, tmp_path):
+    data = json.loads(open(catalog_path()).read())
+    entry = next(e for e in data["entries"] if e["id"] == "2")
+    entry["generators"][0]["matrix"] = [[1, 0, 0], [0, 1, 0], [0, 0, -1]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run(capsys, "--catalog", str(bad), "validate")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: invalid catalog entries: 2: generator 1 has a 3x3 matrix "
+        "and 4 translation entries; expected 4x4 and 4"]
 
 
 def test_usage_error_exit_code(capsys):

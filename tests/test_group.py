@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -6,12 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flat4spec import intlat, kraw
 from flat4spec.group import (MAX_HOLONOMY_ORDER, AffineIsometry, GroupError,
                              betti, build_group, is_abelian_holonomy,
                              is_diagonal_type, is_orientable, sunada_numbers,
                              sunada_tuple)
 from flat4spec.intlat import (det, identity, kernel_basis, mat_mul, mat_sub,
                               mat_vec, transpose)
+from flat4spec.theta import heat_trace_poly
 
 ALL_SIGNED_PERMS = [
     tuple(tuple(signs[i] if perm[i] == j else 0 for j in range(4)) for i in range(4))
@@ -232,6 +235,37 @@ def test_betti_duality_and_catalog_values(catalog):
         assert betti(G, 0) == 1
         assert (betti(G, 4) == 1) == is_orientable(G)
         assert entry.betti == (betti(G, 1), betti(G, 2))
+
+
+def test_orientability_matches_determinants(catalog):
+    # is_orientable reads det B = tr_4(B); the cofactor det is the oracle
+    for entry in catalog:
+        G = entry.group
+        assert is_orientable(G) == all(det(g.B) == 1 for g in G.holonomy), entry.id
+
+
+def test_one_cycle_walk_per_element(catalog, monkeypatch):
+    calls = Counter()
+    walk = intlat.signed_cycles
+
+    def counting(B):
+        calls[B] += 1
+        return walk(B)
+
+    # every binding of the walk, so a second walk anywhere is counted
+    monkeypatch.setattr(intlat, "signed_cycles", counting)
+    monkeypatch.setattr(kraw, "signed_cycles", counting)
+    for gid in ("2", "42", "60"):
+        # a fresh build, so no element has walked its cycles yet
+        G = build_group(catalog.group(gid).generators, name=f"fresh {gid}")
+        for p in range(5):
+            betti(G, p)
+            heat_trace_poly(G, p)
+        is_orientable(G)
+        for g in G.holonomy:
+            g.translation_offsets()
+        assert calls == Counter(g.B for g in G.holonomy), gid
+        calls.clear()
 
 
 def test_translation_consistency_flags(catalog):

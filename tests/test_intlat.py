@@ -2,14 +2,15 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flat4spec.group import AffineIsometry
 from flat4spec.intlat import (LatticeError, decompose_fixed, det,
                               fixed_lattice_basis, identity, kernel_basis,
-                              mat_mul, mat_sub, mat_vec, raw_offsets,
-                              smith_normal_form)
+                              is_signed_permutation, mat_mul, mat_sub,
+                              mat_vec, raw_offsets, smith_normal_form,
+                              transpose)
 
 small_matrices = st.lists(
     st.lists(st.integers(min_value=-6, max_value=6), min_size=3, max_size=3),
@@ -117,3 +118,68 @@ def test_fixed_lattice_is_saturated():
     assert len(basis) == 2
     U, D, V = smith_normal_form(mat_sub(B, identity(4)))
     assert all(D[i][i] in (0, 1, 2) for i in range(4))
+
+
+# -- oracles for the one-pass and scaled-integer fast paths -----------------
+
+
+def _is_signed_permutation_oracle(M):
+    """The generic check: square, one +-1 per row and one nonzero per column."""
+    n = len(M)
+    if any(len(row) != n for row in M):
+        return False
+    for row in M:
+        if sum(1 for x in row if x in (1, -1)) != 1 or any(x not in (-1, 0, 1) for x in row):
+            return False
+    return all(sum(1 for x in col if x != 0) == 1 for col in transpose(M))
+
+
+def _raw_offsets_oracle(v, dec):
+    """(v . u_i) mod 1 as Fraction dot products over all coordinates."""
+    v = tuple(Fraction(x) for x in v)
+    out = []
+    for comp in dec.components:
+        dot = sum(v[i] * comp.vector[i] for i in range(len(v)))
+        out.append(dot - (dot.numerator // dot.denominator))
+    return tuple(out)
+
+
+def test_signed_permutation_check_accepts_all_384():
+    assert len(set(SIGNED_PERMS_4)) == 384
+    for B in SIGNED_PERMS_4:
+        assert is_signed_permutation(B) and _is_signed_permutation_oracle(B)
+
+
+square_or_ragged = st.integers(0, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-2, 2), min_size=max(n - 1, 0), max_size=n + 1),
+    min_size=n, max_size=n))
+one_per_row = st.integers(0, 5).flatmap(lambda n: st.lists(
+    st.tuples(st.integers(0, max(n - 1, 0)), st.sampled_from((-2, -1, 1, 2))),
+    min_size=n, max_size=n).map(lambda picks: tuple(
+        tuple(x if j == col else 0 for j in range(n)) for col, x in picks)))
+near_permutations = st.sampled_from(SIGNED_PERMS_4).flatmap(lambda B: st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-2, 2)),
+    max_size=2).map(lambda edits: _edit(B, edits)))
+
+
+def _edit(B, edits):
+    rows = [list(r) for r in B]
+    for i, j, x in edits:
+        rows[i][j] = x
+    return tuple(tuple(r) for r in rows)
+
+
+@given(st.one_of(square_or_ragged, one_per_row, near_permutations))
+def test_signed_permutation_check_matches_oracle(M):
+    assert is_signed_permutation(M) == _is_signed_permutation_oracle(M)
+
+
+@pytest.mark.parametrize("den", (12, 5))
+@settings(max_examples=20)
+@given(data=st.data())
+def test_raw_offsets_match_fraction_oracle(den, data):
+    v = data.draw(st.tuples(*(st.integers(-2 * den, 2 * den).map(
+        lambda k: Fraction(k, den)) for _ in range(4))))
+    for B in SIGNED_PERMS_4:
+        dec = decompose_fixed(B)
+        assert raw_offsets(v, dec) == _raw_offsets_oracle(v, dec), (B, v)

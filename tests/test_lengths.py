@@ -3,7 +3,8 @@ from itertools import permutations, product
 
 import pytest
 
-from flat4spec.group import GroupError
+from flat4spec import lengths
+from flat4spec.group import GroupError, is_abelian_holonomy
 from flat4spec.intlat import (identity, mat_sub, mat_vec, signed_cycles,
                               smith_normal_form, transpose)
 from flat4spec.lengths import (LengthError, _canonical_state, coset_geometry,
@@ -47,6 +48,44 @@ def test_inconsistent_translations_are_refused(catalog):
     for max2 in (2, F(1, 100)):
         with pytest.raises(LengthError):
             length_spectrum(catalog.group("29'"), max2)
+
+
+LENGTHS = (F(1, 4), F(1), F(2), F(3))
+
+
+def test_multiplicity_matches_spectrum(catalog):
+    for entry in catalog:
+        G = entry.group
+        if not is_abelian_holonomy(G):
+            continue
+        for l2 in LENGTHS:
+            if entry.id == "29'":
+                # refused at every length, by both
+                for count in (length_multiplicity, length_spectrum):
+                    with pytest.raises(LengthError):
+                        count(G, l2)
+                continue
+            assert length_multiplicity(G, l2) == length_spectrum(G, l2).get(l2, 0), \
+                (entry.id, l2)
+
+
+def test_multiplicity_counts_orbits_only_at_its_length(catalog, monkeypatch):
+    seen = set()
+    count = lengths._count_orbits
+
+    def spy(states, geo, maps):
+        for state in states:
+            # the state's +1 cycle coordinates are the k_j of its solution
+            ks = [x for x, (_, eps) in zip(state, geo.cycles) if eps == 1]
+            seen.add(sum((k + s) ** 2 / d for k, s, d in zip(ks, geo.s, geo.ds)))
+        return count(states, geo, maps)
+
+    monkeypatch.setattr(lengths, "_count_orbits", spy)
+    for gid in ("1", "2", "25", "33"):
+        for l2 in LENGTHS:
+            found = length_multiplicity(catalog.group(gid), l2)
+            assert seen == ({l2} if found else set()), (gid, l2)
+            seen.clear()
 
 
 def test_reps_order_invariance(catalog):

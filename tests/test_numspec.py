@@ -8,8 +8,8 @@ import pytest
 
 from flat4spec import group, numspec
 from flat4spec.group import AffineIsometry, BieberbachGroup, build_group
-from flat4spec.intlat import identity, mat_vec
-from flat4spec.kraw import charpoly_coeffs
+from flat4spec.intlat import identity, mat_vec, signed_cycles
+from flat4spec.kraw import cycle_charpoly
 from flat4spec.numspec import (e_term, heat_trace_numeric, lattice_shell,
                                multiplicity)
 
@@ -119,20 +119,21 @@ def test_multiplicity_refuses_nonintegral_sums(catalog, monkeypatch):
 
 
 def test_traces_computed_once_per_element(catalog, monkeypatch):
+    # traces come from each element's signed cycles, which determine B
     calls = Counter()
 
-    def counting(B):
-        calls[B] += 1
-        return charpoly_coeffs(B)
+    def counting(cycles):
+        calls[tuple(cycles)] += 1
+        return cycle_charpoly(cycles)
 
-    monkeypatch.setattr(group, "charpoly_coeffs", counting)
+    monkeypatch.setattr(group, "cycle_charpoly", counting)
     for gid in ("2", "42", "60"):
         # a fresh build, so no element has computed its traces yet
         G = build_group(catalog.group(gid).generators, name=f"fresh {gid}")
         for p in range(5):
             for mu in range(6):
                 multiplicity(G, p, mu)
-        assert sorted(calls) == sorted(g.B for g in G.holonomy), gid
+        assert sorted(calls) == sorted(tuple(signed_cycles(g.B)) for g in G.holonomy), gid
         assert set(calls.values()) == {1}, gid
         calls.clear()
 

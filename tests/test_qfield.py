@@ -48,6 +48,13 @@ def test_mul_commutes_and_floats_agree(a, b):
     assert abs(float(a * b) - float(a) * float(b)) < 1e-6
 
 
+@given(quads, st.one_of(st.integers(-50, 50), rationals, st.sampled_from((0, Fraction(0)))))
+def test_rational_factor_scales_coordinates(q, r):
+    assert q * r == q * QuadNumber(r)
+    assert r * q == QuadNumber(r) * q
+    assert isinstance(q * r, QuadNumber) and isinstance(r * q, QuadNumber)
+
+
 @given(quads, quads, quads)
 def test_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)

@@ -28,6 +28,15 @@ def test_monomial_folds_and_merges():
         monomial([((5, 0), 1)])
 
 
+def test_element_monomial_matches_monomial(catalog):
+    # the p-independent monomial each element caches, against monomial()
+    for entry in catalog:
+        for g in entry.group.holonomy:
+            want = monomial(((d, r), 1) for d, r in g.translation_offsets())
+            assert g.theta_monomial() == want, (entry.id, g.B)
+            assert all(fold_offset(r) == r for (_, r), _ in want)
+
+
 def test_var_names_and_rendering():
     assert var_name(1, Fraction(0)) == "x"
     assert var_name(1, Fraction(1, 2)) == "y"
