@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -73,12 +72,8 @@ class Catalog:
 
 
 def _entry_group(raw: dict) -> BieberbachGroup:
-    gens = [
-        AffineIsometry.make(
-            g["matrix"], [Fraction(t) for t in g["translation"]]
-        )
-        for g in raw["generators"]
-    ]
+    gens = [AffineIsometry.make(g["matrix"], g["translation"])
+            for g in raw["generators"]]
     return build_group(gens, name=raw["id"], metadata={"table": raw.get("table", "")})
 
 

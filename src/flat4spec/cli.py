@@ -159,7 +159,11 @@ def cmd_classify(args) -> int:
         if args.json == "-":
             print(report.to_json())
         else:
-            Path(args.json).write_text(report.to_json() + "\n")
+            try:
+                Path(args.json).write_text(report.to_json() + "\n")
+            except OSError as exc:
+                print(f"error: cannot write report to {args.json}: {exc}", file=sys.stderr)
+                return 1
             print(f"report written to {args.json}")
     else:
         print(f"mode {report.mode}: {len(report.classes)} classes")
@@ -247,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu-max", type=_nonnegative_int, default=40)
     p.add_argument("--trunc", type=_nonnegative_int, default=60,
                    help="theta sum truncation")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", default=1e-8, type=_checked(
+        float, lambda x: 0 <= x < math.inf, "a nonnegative finite number"))
     p.set_defaults(func=cmd_crosscheck)
     return parser
 

@@ -8,17 +8,19 @@ group is the finite set of coset representatives mod the lattice.
 Composition follows from the action:
     (B, b) * (B', b') = (B B', B'^{-1} b + b')      (translation part mod Z^4)
 
-B' is a signed permutation, so B'^{-1} = B'^T and one product rule,
-`_compose`, forms both parts from the single nonzero entry of each row.  It
-needs only addition and negation of translations, so `build_group` runs the
-closure on integer translations scaled by D, the lcm of the generators'
-translation denominators, and reduces them mod D; that is arithmetic mod 1,
-exact.  Only the final holonomy elements become `AffineIsometry` objects.
-`build_group` refuses generators that are not 4x4 with 4 translation entries.
+B' is a signed permutation, so B'^{-1} = B'^T.  The one product rule,
+`_compose`, works on signed-permutation codes (intlat.signed_code) and needs
+only addition and negation of translations.  So `build_group` runs the closure
+on codes and on translations scaled by D, the lcm of the generators'
+translation denominators, reduced mod D: arithmetic mod 1, exact.  Only the
+final holonomy elements become `AffineIsometry` objects, with translations
+from one per-group table of the fractions k/D in use.  `build_group` refuses generators that
+are not 4x4 with 4 translation entries.
 
-Each element computes its invariants once, from one walk over the signed
-cycles of B (intlat.signed_cycles), and keeps them: the p-form traces, the
-fixed decomposition, the raw and folded component offsets of b and the
+Each element checks its matrix once, on construction, then computes its
+invariants once, from one walk over the signed cycles of its code
+(intlat.code_cycles), and keeps them: the p-form traces, the fixed
+decomposition, the raw and folded component offsets of b and the
 p-independent theta monomial.  Torsion-freeness, Betti numbers,
 orientability (det B = tr_4 B) and the heat traces all read these values.
 """
@@ -32,11 +34,12 @@ from math import lcm
 from typing import Sequence
 
 from . import intlat
-from .intlat import FixedDecomposition, IntMatrix, RatVector
+from .intlat import FixedDecomposition, IntMatrix, IntVector, RatVector
 from .kraw import cycle_charpoly
 
 MAX_HOLONOMY_ORDER = 48
 _HALF = Fraction(1, 2)
+_IDENTITY_CODE = (1, 2, 3, 4)  # intlat.signed_code of the 4x4 identity
 
 
 class GroupError(ValueError):
@@ -52,26 +55,24 @@ def _norm_vec(v: Sequence) -> RatVector:
     return tuple(out)
 
 
-def _compose(A: IntMatrix, a: Sequence, B: IntMatrix, b: Sequence) -> tuple[IntMatrix, tuple]:
-    """(A, a) * (B, b) = (A B, B^T a + b) for signed permutations A and B.
+def _product(A: IntVector, B: IntVector) -> IntVector:
+    """Code of A B: row i of A B is s * B[j] for the entry s = A[i][j]."""
+    return tuple([B[c - 1] if c > 0 else -B[-c - 1] for c in A])
 
-    Row i of A B is s * B[j] for the one nonzero entry s = A[i][j], and each
-    entry s = B[i][j] adds s * a_i to coordinate j of B^T a.  The translation
-    part is not reduced mod the lattice.
+
+def _compose(A: IntVector, a: Sequence, B: IntVector, b: Sequence) -> tuple[IntVector, list]:
+    """(A, a) * (B, b) = (A B, B^T a + b) for signed-permutation codes A and B.
+
+    Each entry s = B[i][j] adds s * a_i to coordinate j of B^T a.  The
+    translation part is not reduced mod the lattice.
     """
-    rows = []
-    for row in A:
-        for j, s in enumerate(row):
-            if s:
-                break
-        rows.append(B[j] if s == 1 else tuple(-x for x in B[j]))
     t = list(b)
-    for x, row in zip(a, B):
-        for j, s in enumerate(row):
-            if s:
-                break
-        t[j] += x if s == 1 else -x
-    return tuple(rows), tuple(t)
+    for x, c in zip(a, B):
+        if c > 0:
+            t[c - 1] += x
+        else:
+            t[-c - 1] -= x
+    return _product(A, B), t
 
 
 @dataclass(frozen=True)
@@ -80,8 +81,11 @@ class AffineIsometry:
     b: RatVector
 
     def __post_init__(self):
-        if not intlat.is_signed_permutation(self.B):
+        code = intlat.signed_code(self.B)
+        if code is None:
             raise GroupError("matrix part must be a signed permutation")
+        # kept in the instance dict, outside the compared and hashed fields
+        object.__setattr__(self, "_code", code)
         object.__setattr__(self, "b", _norm_vec(self.b))
 
     @classmethod
@@ -93,7 +97,8 @@ class AffineIsometry:
         return cls(intlat.identity(n), (Fraction(0),) * n)
 
     def __mul__(self, other: "AffineIsometry") -> "AffineIsometry":
-        return AffineIsometry(*_compose(self.B, self.b, other.B, other.b))
+        M, t = _compose(self._code, self.b, other._code, other.b)
+        return AffineIsometry(intlat.code_matrix(M), t)
 
     def inverse(self) -> "AffineIsometry":
         binv = intlat.transpose(self.B)
@@ -101,7 +106,7 @@ class AffineIsometry:
         return AffineIsometry(binv, newb)
 
     def is_identity_matrix(self) -> bool:
-        return self.B == intlat.identity(len(self.B))
+        return self._code == _IDENTITY_CODE
 
     def apply(self, x: Sequence[Fraction]) -> RatVector:
         shifted = tuple(Fraction(xi) + bi for xi, bi in zip(x, self.b))
@@ -113,7 +118,7 @@ class AffineIsometry:
 
     @cached_property
     def _cycle_invariants(self) -> tuple[tuple[int, ...], FixedDecomposition]:
-        cycles = intlat.signed_cycles(self.B)
+        cycles = intlat.code_cycles(self._code)
         return cycle_charpoly(cycles), intlat.cycle_decomposition(cycles)
 
     @cached_property
@@ -194,19 +199,18 @@ def build_group(generators: Sequence[AffineIsometry], name: str = "",
             raise GroupError(f"generator {k} has a {len(g.B)}x{len(g.B)} matrix and "
                              f"{len(g.b)} translation entries; expected 4x4 and 4")
     D = lcm(*(x.denominator for g in gens for x in g.b))
-    scaled = [(g.B, tuple(x.numerator * (D // x.denominator) for x in g.b))
+    scaled = [(g._code, tuple(x.numerator * (D // x.denominator) for x in g.b))
               for g in gens]
-    ident = intlat.identity(4)
-    # matrix -> D * translation mod D of the first representative found
-    elements = {ident: (0,) * 4}
+    # code -> D * translation mod D of the first representative found
+    elements = {_IDENTITY_CODE: (0,) * 4}
     consistent = True
-    frontier = [ident]
+    frontier = [_IDENTITY_CODE]
     while frontier:
         cur = frontier.pop(0)
         a = elements[cur]
         for B, b in scaled:
             for M, t in (_compose(cur, a, B, b), _compose(B, b, cur, a)):
-                t = tuple(x % D for x in t)
+                t = tuple([x % D for x in t])
                 first = elements.get(M)
                 if first is None:
                     if len(elements) >= MAX_HOLONOMY_ORDER:
@@ -219,10 +223,13 @@ def build_group(generators: Sequence[AffineIsometry], name: str = "",
                     # representative found per matrix (breadth-first, hence
                     # deterministic) and record the inconsistency.
                     consistent = False
+    # one Fraction per residue in use, not per k < D: D comes from outside
+    fractions = {x: Fraction(x, D) for t in elements.values() for x in t}
     # identity first, then sorted by matrix (each matrix occurs once)
     holonomy = [AffineIsometry.identity(4)]
-    holonomy += [AffineIsometry(M, tuple(Fraction(x, D) for x in t))
-                 for M, t in sorted(elements.items()) if M != ident]
+    holonomy += [AffineIsometry(M, tuple(fractions[x] for x in t)) for M, t in
+                 sorted((intlat.code_matrix(M), t) for M, t in elements.items()
+                        if M != _IDENTITY_CODE)]
     for g in holonomy[1:]:
         if not g.is_fixed_point_free():
             raise GroupError(f"not torsion-free: element with matrix {g.B} fixes a point")
@@ -240,17 +247,14 @@ def is_orientable(G: BieberbachGroup) -> bool:
 
 
 def is_diagonal_type(G: BieberbachGroup) -> bool:
-    return all(
-        all(g.B[i][j] == 0 for i in range(4) for j in range(4) if i != j)
-        for g in G.holonomy
-    )
+    # a signed permutation is diagonal iff no diagonal entry is zero
+    return all(g.B[0][0] and g.B[1][1] and g.B[2][2] and g.B[3][3]
+               for g in G.holonomy)
 
 
 def is_abelian_holonomy(G: BieberbachGroup) -> bool:
-    mats = [g.B for g in G.holonomy]
-    return all(
-        intlat.mat_mul(a, b) == intlat.mat_mul(b, a) for a in mats for b in mats
-    )
+    codes = [g._code for g in G.holonomy]
+    return all(_product(a, b) == _product(b, a) for a in codes for b in codes)
 
 
 def betti(G: BieberbachGroup, p: int) -> int:

@@ -6,13 +6,15 @@ clarity beats asymptotics; the Smith reduction is plain gcd elimination with
 unimodular bookkeeping.  `raw_offsets` works on a rational vector scaled to
 integers by the lcm of its denominators and makes one Fraction per offset.
 
-Holonomy matrices are signed permutations, and `signed_cycles` is the one walk
-over their cycles.  A cycle of length k with sign product eps contributes the
-factor 1 - eps*(-t)^k to det(Id + t*B) (see kraw.charpoly_coeffs) and, when
-eps = +1, one fixed component of support size k (see decompose_fixed).  It
-also contributes Z (eps = +1) or Z/2 (eps = -1) to the quotient
-Z^4 / (B^{-1} - Id) Z^4 that labels conjugacy classes within a coset (see
-lengths).  The general routines `det` (cofactor expansion) and
+Holonomy matrices are signed permutations.  `signed_code` checks one in a
+single pass and returns row i as s*(j+1) for its nonzero entry s = B[i][j];
+`code_cycles` is the one walk over the cycles of a code, and `signed_cycles`
+checks a matrix, then walks it.  A cycle of length k with sign product eps
+contributes the factor 1 - eps*(-t)^k to det(Id + t*B) (see
+kraw.charpoly_coeffs) and, when eps = +1, one fixed component of support size
+k (see decompose_fixed).  It also contributes Z (eps = +1) or Z/2 (eps = -1)
+to the quotient Z^4 / (B^{-1} - Id) Z^4 that labels conjugacy classes within a
+coset (see lengths).  The general routines `det` (cofactor expansion) and
 `fixed_lattice_basis` (Smith reduction) do not use this structure.
 """
 from __future__ import annotations
@@ -64,18 +66,26 @@ def mat_sub(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
-def is_signed_permutation(M: IntMatrix) -> bool:
-    """One pass: each row has one nonzero entry, it is +-1, and the columns differ."""
+def signed_code(M: IntMatrix) -> IntVector | None:
+    """Row i as s*(j+1) for its nonzero s = M[i][j] = +-1; None unless a signed permutation."""
     n = len(M)
-    cols = set()
+    code = []
     for row in M:
-        if len(row) != n:
-            return False
-        nonzero = [j for j, x in enumerate(row) if x]
-        if len(nonzero) != 1 or row[nonzero[0]] not in (1, -1):
-            return False
-        cols.add(nonzero[0])
-    return len(cols) == n
+        s = 1 if 1 in row else -1
+        if len(row) != n or row.count(0) != n - 1 or s not in row:
+            return None
+        code.append(s * (row.index(s) + 1))
+    return tuple(code) if len({abs(c) for c in code}) == n else None
+
+
+def code_matrix(code: Sequence[int]) -> IntMatrix:
+    """The signed permutation matrix with this `signed_code`."""
+    zeros = (0,) * len(code)
+    return tuple(zeros[:abs(c) - 1] + (1 if c > 0 else -1,) + zeros[abs(c):] for c in code)
+
+
+def is_signed_permutation(M: IntMatrix) -> bool:
+    return signed_code(M) is not None
 
 
 def det(M: IntMatrix) -> int:
@@ -259,16 +269,19 @@ def signed_cycles(B: IntMatrix) -> list[tuple[tuple[tuple[int, int], ...], int]]
     B^k e_a = sign * e_axis for k = 0, ..., len - 1; eps is the product of the
     signs along the cycle, so B^len e_a = eps * e_a.
     """
-    if not is_signed_permutation(B):
+    if (code := signed_code(B)) is None:
         raise LatticeError("expected a signed permutation matrix")
-    image = {}
-    for j, row in enumerate(B):
-        for i, x in enumerate(row):
-            if x:
-                image[i] = (j, x)  # B e_i = x * e_j
+    return code_cycles(code)
+
+
+def code_cycles(code: Sequence[int]) -> list[tuple[tuple[tuple[int, int], ...], int]]:
+    """`signed_cycles` of the signed permutation with this code, which is not checked."""
+    image = [None] * len(code)
+    for j, c in enumerate(code):
+        image[abs(c) - 1] = (j, 1 if c > 0 else -1)  # B e_i = sign * e_j
     seen = set()
     cycles = []
-    for start in range(dim(B)):
+    for start in range(len(code)):
         if start in seen:
             continue
         orbit = []

@@ -21,20 +21,25 @@ The quotient Z^4 / (B^{-1} - Id) Z^4 splits along the signed cycles of B
 (intlat.signed_cycles) as Z^{#(+1 cycles)} x (Z/2)^{#(-1 cycles)}: a cycle
 with eps = +1 contributes the integer lambda.u_j = k_j, and a cycle with
 eps = -1 the sum of lambda over its axes mod 2.  A state is one integer per
-cycle, represented by the vector that puts it on the cycle's first axis, and
-the conjugacy classes of a coset with a given length are the orbits of its
-states under the maps above.  Nonabelian holonomy is not supported here (the
-conjugation action no longer preserves single cosets).
+cycle, and the conjugacy classes of a coset with a given length are the orbits
+of its states under the maps above, each an affine map on states built once
+per coset.  Nonabelian holonomy is not supported here (the conjugation action
+no longer preserves single cosets).
+
+Everything runs on ints: squared lengths times W D^2 (D the common
+denominator of the s_j, W the lcm of the d_j) and translations times their
+common denominator.  Only the returned squared lengths become Fractions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import isqrt, lcm
 
 from . import intlat
 from .group import BieberbachGroup, GroupError, is_abelian_holonomy
-from .intlat import IntMatrix, IntVector, mat_sub, mat_vec, transpose
+from .intlat import IntMatrix, IntVector
 
 RatVec = tuple[Fraction, ...]
 Cycles = tuple[tuple[tuple[tuple[int, int], ...], int], ...]
@@ -58,48 +63,43 @@ class CosetGeometry:
 
 def coset_geometry(B: IntMatrix, b) -> CosetGeometry:
     b = tuple(Fraction(x) for x in b)
-    comps = intlat.decompose_fixed(B).components
+    cycles = tuple(intlat.signed_cycles(B))
+    comps = intlat.cycle_decomposition(cycles).components
     if not comps:
         raise LengthError("element with empty fixed lattice is not torsion-free")
     units = tuple(c.vector for c in comps)
     ds = tuple(c.d for c in comps)
     s = tuple(sum(bi * ui for bi, ui in zip(b, u)) for u in units)
-    return CosetGeometry(B, b, units, ds, s, tuple(intlat.signed_cycles(B)))
+    return CosetGeometry(B, b, units, ds, s, cycles)
 
 
 # -- squared length values -------------------------------------------------
 
 
-def _component_scan(d: int, s: Fraction, budget: Fraction):
-    """Yield (k, (k + s)^2 / d) for all integers k with the term <= budget."""
-    if budget < 0:
-        return
-    # (k + s)^2 is unimodal in k with vertex at -s: scan outward from there
-    center = -(s.numerator // s.denominator)  # ceil(-s)
-    for start, step in ((center, 1), (center - 1, -1)):
-        k = start
-        while True:
-            term = Fraction(k + s) ** 2 / d
-            if term > budget:
-                break
-            yield k, term
-            k += step
-
-
 def _solutions(geo: CosetGeometry, max2: Fraction) -> dict[Fraction, list[tuple[int, ...]]]:
-    """Map each squared length 0 < l2 <= max2 of the coset to its tuples k."""
-    sols: dict[Fraction, list[tuple[int, ...]]] = {}
+    """Map each squared length 0 < l2 <= max2 of the coset to its tuples k.
 
-    def recurse(j: int, acc: Fraction, ks: tuple[int, ...]):
-        if j == len(geo.units):
-            if acc > 0:
-                sols.setdefault(acc, []).append(ks)
-            return
-        for k, term in _component_scan(geo.ds[j], geo.s[j], max2 - acc):
-            recurse(j + 1, acc + term, ks + (k,))
-
-    recurse(0, Fraction(0), ())
-    return sols
+    W D^2 l2 is the integer sum_j (W / d_j) (k_j D + s_j D)^2.
+    """
+    D = lcm(*(x.denominator for x in geo.s))
+    W = lcm(*geo.ds)
+    den = W * D * D
+    top = max2.numerator * den // max2.denominator
+    partial = [(0, ())] if top >= 0 else []
+    for s, d in zip(geo.s, geo.ds):
+        sD, w = s.numerator * (D // s.denominator), W // d
+        grown = []
+        for acc, ks in partial:
+            # w x^2 <= top - acc for x = k D + sD iff |x| <= r
+            r = isqrt((top - acc) // w)
+            for k in range(-((r + sD) // D), (r - sD) // D + 1):
+                x = k * D + sD
+                grown.append((acc + w * x * x, ks + (k,)))
+        partial = grown
+    sols: dict[int, list[tuple[int, ...]]] = {}
+    for n, ks in partial:
+        sols.setdefault(n, []).append(ks)
+    return {Fraction(n, den): ks for n, ks in sols.items() if n}
 
 
 def length_set(G: BieberbachGroup, max2) -> set[Fraction]:
@@ -123,14 +123,6 @@ def _canonical_state(cycles: Cycles, lam) -> tuple[int, ...]:
     return tuple(state)
 
 
-def _state_vector(cycles: Cycles, state) -> list[int]:
-    # each orbit starts at its first axis with sign +1
-    lam = [0] * 4
-    for (orbit, _), x in zip(cycles, state):
-        lam[orbit[0][0]] = x
-    return lam
-
-
 def _states(geo: CosetGeometry, ks: tuple[int, ...]):
     """The states over one solution k: each eps = -1 cycle adds a Z/2 bit."""
     k_iter = iter(ks)
@@ -138,30 +130,51 @@ def _states(geo: CosetGeometry, ks: tuple[int, ...]):
 
 
 def _conjugation_maps(geo: CosetGeometry, reps: list[tuple[IntMatrix, RatVec]]):
-    """Affine maps lambda -> B_j lambda + v implementing rep conjugation."""
+    """Affine maps x -> shift + sum_c x_c e(c) on states implementing rep conjugation.
+
+    Conjugation by (B_j, b_j) maps lambda to B_j lambda + v, for the integral
+    v = B_j (b + B^T b_j - b_j) - b (computed on translations scaled by D).
+    shift is the state of v and e(c), one signed unit stored as (index, sign),
+    the state of B_j applied to the first axis of cycle c.
+    """
+    code = intlat.signed_code(geo.B)
     maps = []
-    binv = transpose(geo.B)
     for Bj, bj in reps:
-        part1 = mat_vec(mat_sub(Bj, intlat.identity(4)), geo.b)
-        part2 = mat_vec(Bj, tuple(x - y for x, y in zip(mat_vec(binv, bj), bj)))
-        v = tuple(a + b for a, b in zip(part1, part2))  # geo.b is rational
-        if any(x.denominator != 1 for x in v):
+        D = lcm(*(x.denominator for x in (*geo.b, *bj)))
+        b, t = ([x.numerator * (D // x.denominator) for x in v] for v in (geo.b, bj))
+        u = [x - y for x, y in zip(b, t)]
+        for x, c in zip(t, code):
+            # each entry s = B[i][j] adds s * t_i to coordinate j of B^T t
+            u[abs(c) - 1] += x if c > 0 else -x
+        # B_j u - b, with the entry s = B_j[i][j] giving (B_j u)_i = s * u_j
+        v = [(u[c - 1] if c > 0 else -u[-c - 1]) - y
+             for c, y in zip(intlat.signed_code(Bj), b)]
+        if any(x % D for x in v):
             raise LengthError("conjugation by a representative is not integral")
-        maps.append((Bj, tuple(int(x) for x in v)))
+        moves = []
+        for orbit, _ in geo.cycles:
+            image = _canonical_state(geo.cycles, [row[orbit[0][0]] for row in Bj])
+            moves.append(next((i, y) for i, y in enumerate(image) if y))
+        maps.append((_canonical_state(geo.cycles, [x // D for x in v]), moves))
     return maps
 
 
 def _count_orbits(states: set[tuple[int, ...]], geo: CosetGeometry, maps) -> int:
+    twisted = [i for i, (_, eps) in enumerate(geo.cycles) if eps == -1]
     unseen = set(states)
     orbits = 0
     while unseen:
         frontier = [unseen.pop()]
         orbits += 1
         while frontier:
-            lam = _state_vector(geo.cycles, frontier.pop())
-            for Bj, v in maps:
-                img = [x + y for x, y in zip(mat_vec(Bj, lam), v)]
-                nxt = _canonical_state(geo.cycles, img)
+            state = frontier.pop()
+            for shift, moves in maps:
+                img = list(shift)
+                for x, (i, y) in zip(state, moves):
+                    img[i] += x * y
+                for i in twisted:
+                    img[i] %= 2
+                nxt = tuple(img)
                 if nxt not in states:
                     raise LengthError("conjugation left the solution set")
                 if nxt in unseen:
@@ -183,8 +196,8 @@ def _class_counts(G: BieberbachGroup, max2,
         reps = [(g.B, g.b) for g in G.nontrivial()]
     max2 = Fraction(max2)
     counts: dict[Fraction, int] = {}
-    for B, b in [(intlat.identity(4), (0,) * 4), *reps]:
-        geo = coset_geometry(B, b)
+    # every rep matrix is checked before any map is built from it
+    for geo in [coset_geometry(B, b) for B, b in [(intlat.identity(4), (0,) * 4), *reps]]:
         # built before the enumeration, so a refusal does not depend on max2
         maps = _conjugation_maps(geo, reps)
         for l2, sols in _solutions(geo, max2).items():

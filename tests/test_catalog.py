@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from flat4spec import intlat
 from flat4spec.catalog import (ENV_VAR, EXPECTED_COUNT, CatalogError,
                                catalog_path, load_catalog)
 
@@ -114,6 +115,23 @@ def test_entry_flags_match_group(catalog):
         assert entry.orientable == is_orientable(entry.group)
         assert entry.diagonal == is_diagonal_type(entry.group)
         assert entry.group.name == entry.id
+
+
+def test_one_signed_permutation_check_per_matrix(monkeypatch):
+    calls = []
+    check = intlat.signed_code
+
+    def counting(M):
+        calls.append(M)
+        return check(M)
+
+    # the one-pass check; is_signed_permutation and signed_cycles call it too
+    monkeypatch.setattr(intlat, "signed_code", counting)
+    cat = load_catalog()
+    elements = sum(e.group.order for e in cat)
+    generators = sum(len(e.group.generators) for e in cat)
+    assert (elements, generators) == (359, 145)
+    assert len(calls) <= elements + generators
 
 
 @pytest.mark.parametrize("field, value, shape", [

@@ -58,6 +58,9 @@ def test_usage_error_exit_code(capsys):
     ["crosscheck", "2", "-s", "nan"],
     ["crosscheck", "2", "--mu-max", "-1"],
     ["crosscheck", "2", "--trunc", "1.5"],
+    ["crosscheck", "2", "--tol", "nan"],
+    ["crosscheck", "2", "--tol", "-1"],
+    ["crosscheck", "2", "--tol", "inf"],
 ])
 def test_bad_option_values_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -128,6 +131,15 @@ def test_classify_json_to_file(capsys, tmp_path):
     report = json.loads(target.read_text())
     assert report["mode"] == "L"
     assert ["25", "27"] in report["classes"]
+
+
+def test_classify_json_to_unwritable_path(capsys, tmp_path):
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = run(capsys, "classify", "--mode", "p0", "--json", str(target))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot write report to {target}: ")
+    assert not target.exists()
 
 
 def test_crosscheck(capsys):

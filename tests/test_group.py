@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -185,6 +186,21 @@ def test_closure_with_trivial_or_integral_translations(gens, order):
     assert holonomy[0] == (identity(4), (0, 0, 0, 0))
 
 
+def test_closure_with_a_large_denominator():
+    # the translation table holds the residues in use, not all k/D for k < D
+    D = 100003
+    gens = [iso(diag(1, 1, 1, -1), [Fraction(1, 2), 0, 0, Fraction(1, D)])]
+    tracemalloc.start()
+    try:
+        holonomy, consistent = _closure(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
+    assert holonomy[1][1] == (Fraction(1, 2), 0, 0, Fraction(1, D)) and consistent
+    assert (holonomy, consistent) == _closure_oracle(gens)
+
+
 def test_klein_type_group():
     G = build_group([iso(diag(1, 1, 1, -1), [Fraction(1, 2), 0, 0, 0])],
                     name="k")
@@ -246,25 +262,28 @@ def test_orientability_matches_determinants(catalog):
 
 def test_one_cycle_walk_per_element(catalog, monkeypatch):
     calls = Counter()
-    walk = intlat.signed_cycles
+    walk = intlat.code_cycles
 
-    def counting(B):
-        calls[B] += 1
-        return walk(B)
+    def counting(code):
+        calls[code] += 1
+        return walk(code)
 
-    # every binding of the walk, so a second walk anywhere is counted
-    monkeypatch.setattr(intlat, "signed_cycles", counting)
-    monkeypatch.setattr(kraw, "signed_cycles", counting)
+    # the walk behind every signed-cycle invariant; intlat.signed_cycles (and
+    # so kraw.charpoly_coeffs) calls it too, so a second walk anywhere is counted
+    monkeypatch.setattr(intlat, "code_cycles", counting)
     for gid in ("2", "42", "60"):
         # a fresh build, so no element has walked its cycles yet
         G = build_group(catalog.group(gid).generators, name=f"fresh {gid}")
         for p in range(5):
             betti(G, p)
             heat_trace_poly(G, p)
+            kraw.charpoly_coeffs(G.holonomy[-1].B)
         is_orientable(G)
         for g in G.holonomy:
             g.translation_offsets()
-        assert calls == Counter(g.B for g in G.holonomy), gid
+        want = Counter(intlat.signed_code(g.B) for g in G.holonomy)
+        want[intlat.signed_code(G.holonomy[-1].B)] += 5
+        assert calls == want, gid
         calls.clear()
 
 

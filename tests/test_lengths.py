@@ -1,9 +1,11 @@
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
 
-from flat4spec import lengths
+from flat4spec import intlat, lengths
 from flat4spec.group import GroupError, is_abelian_holonomy
 from flat4spec.intlat import (identity, mat_sub, mat_vec, signed_cycles,
                               smith_normal_form, transpose)
@@ -96,10 +98,14 @@ def test_reps_order_invariance(catalog):
         assert length_multiplicity(G, l2, reps=list(reversed(reps))) == want
 
 
+def test_reps_must_be_signed_permutations(catalog):
+    shear = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    with pytest.raises(intlat.LatticeError):
+        length_multiplicity(catalog.group("2"), 1, reps=[(shear, (0, 0, 0, 0))])
+
+
 def test_reps_lattice_shift_invariance(catalog):
     # the multiplicity only depends on the cosets B L_{b + Z^4}
-    import random
-
     rng = random.Random(7)
     for gid in ("2", "25", "33"):
         G = catalog.group(gid)
@@ -175,3 +181,149 @@ def test_cycle_state_matches_smith_coordinates():
             n_twisted = sum(1 for _, eps in cycles if eps == -1)
             assert sorted(D[i][i] for i in range(4) if D[i][i] != 1) == \
                 [0] * (len(cycles) - n_twisted) + [2] * n_twisted, B
+
+
+def test_one_cycle_walk_per_coset(catalog, monkeypatch):
+    calls = Counter()
+    walk = intlat.code_cycles
+
+    def counting(code):
+        calls[code] += 1
+        return walk(code)
+
+    # every signed-cycle walk goes through intlat.code_cycles
+    monkeypatch.setattr(intlat, "code_cycles", counting)
+    G = catalog.group("33")
+    assert G.order == 8
+    # one coset per holonomy element, the identity included
+    want = Counter(intlat.signed_code(g.B) for g in G.holonomy)
+    length_set(G, 4)
+    assert calls == want
+    calls.clear()
+    length_spectrum(G, 3)
+    assert calls == want
+
+
+# -- Fraction oracle ---------------------------------------------------------
+# The squared-length enumeration on Fractions and the orbit walk on lattice
+# vectors (generic matrix arithmetic) that the integer path replaced; kept to
+# check it.
+
+
+def _component_scan(d, s, budget):
+    """Yield (k, (k + s)^2 / d) for all integers k with the term <= budget."""
+    if budget < 0:
+        return
+    center = -(s.numerator // s.denominator)  # ceil(-s)
+    for start, step in ((center, 1), (center - 1, -1)):
+        k = start
+        while True:
+            term = F(k + s) ** 2 / d
+            if term > budget:
+                break
+            yield k, term
+            k += step
+
+
+def _solutions_oracle(geo, max2):
+    sols = {}
+
+    def recurse(j, acc, ks):
+        if j == len(geo.units):
+            if acc > 0:
+                sols.setdefault(acc, []).append(ks)
+            return
+        for k, term in _component_scan(geo.ds[j], geo.s[j], max2 - acc):
+            recurse(j + 1, acc + term, ks + (k,))
+
+    recurse(0, F(0), ())
+    return sols
+
+
+def _conjugation_maps_oracle(geo, reps):
+    maps = []
+    for Bj, bj in reps:
+        part1 = mat_vec(mat_sub(Bj, identity(4)), geo.b)
+        part2 = mat_vec(Bj, tuple(x - y for x, y in zip(mat_vec(transpose(geo.B), bj), bj)))
+        v = tuple(F(a + b) for a, b in zip(part1, part2))
+        if any(x.denominator != 1 for x in v):
+            raise LengthError("conjugation by a representative is not integral")
+        maps.append((Bj, tuple(int(x) for x in v)))
+    return maps
+
+
+def _count_orbits_oracle(states, geo, maps):
+    unseen = set(states)
+    orbits = 0
+    while unseen:
+        frontier = [unseen.pop()]
+        orbits += 1
+        while frontier:
+            # the state's vector puts each coordinate on its cycle's first axis
+            lam = [0] * 4
+            for (orbit, _), x in zip(geo.cycles, frontier.pop()):
+                lam[orbit[0][0]] = x
+            for Bj, v in maps:
+                nxt = _canonical_state(geo.cycles,
+                                       [x + y for x, y in zip(mat_vec(Bj, lam), v)])
+                assert nxt in states
+                if nxt in unseen:
+                    unseen.remove(nxt)
+                    frontier.append(nxt)
+    return orbits
+
+
+def _class_counts_oracle(G, max2, reps=None):
+    if reps is None:
+        reps = [(g.B, g.b) for g in G.nontrivial()]
+    counts = {}
+    for B, b in [(identity(4), (0,) * 4), *reps]:
+        geo = coset_geometry(B, b)
+        maps = _conjugation_maps_oracle(geo, reps)
+        for l2, sols in _solutions_oracle(geo, F(max2)).items():
+            states = {state for ks in sols for state in lengths._states(geo, ks)}
+            counts[l2] = counts.get(l2, 0) + _count_orbits_oracle(states, geo, maps)
+    return dict(sorted(counts.items()))
+
+
+ORACLE_BOUNDS = (F(1, 16), F(1, 2), F(1), F(7, 3), F(3), F(4), F(21, 2))
+
+
+def test_solutions_match_fraction_oracle(catalog):
+    for entry in catalog:
+        G = entry.group
+        geos = [coset_geometry(g.B, g.b) for g in G.holonomy]
+        wants = [{l2: sorted(ks) for l2, ks in _solutions_oracle(geo, max(ORACLE_BOUNDS)).items()}
+                 for geo in geos]
+        for max2 in ORACLE_BOUNDS:
+            for geo, want in zip(geos, wants):
+                got = lengths._solutions(geo, max2)
+                assert {l2: sorted(ks) for l2, ks in got.items()} == \
+                    {l2: ks for l2, ks in want.items() if l2 <= max2}, (entry.id, geo.B, max2)
+            assert length_set(G, max2) == {l2 for want in wants for l2 in want if l2 <= max2}, \
+                (entry.id, max2)
+
+
+def test_class_counts_match_orbit_walk_oracle(catalog):
+    for entry in catalog:
+        G = entry.group
+        if not is_abelian_holonomy(G):
+            continue
+        if entry.id == "29'":
+            for count in (_class_counts_oracle, length_spectrum):
+                with pytest.raises(LengthError):
+                    count(G, 4)
+            continue
+        want = _class_counts_oracle(G, 4)
+        for max2 in (F(1, 4), F(1), F(3), F(4)):
+            assert length_spectrum(G, max2) == \
+                {l2: n for l2, n in want.items() if l2 <= max2}, (entry.id, max2)
+
+
+def test_shifted_reps_match_orbit_walk_oracle(catalog):
+    rng = random.Random(12)
+    for gid in ("2", "25", "33", "42", "47", "57", "64"):
+        G = catalog.group(gid)
+        reps = [(g.B, tuple(x + rng.randint(-3, 3) for x in g.b)) for g in G.nontrivial()]
+        got = lengths._class_counts(G, 3, reps)
+        assert got == _class_counts_oracle(G, 3, reps) == length_spectrum(G, 3), gid
