@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .group import (AffineIsometry, BieberbachGroup, GroupError, betti,
                     build_group, is_diagonal_type, is_orientable, sunada_tuple)
@@ -29,8 +28,7 @@ class CatalogError(ValueError):
     pass
 
 
-@dataclass
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     id: str
     table: str
     holonomy: str
@@ -44,10 +42,10 @@ class CatalogEntry:
     notes: str = ""
 
 
-@dataclass
 class Catalog:
-    source: str
-    entries: list[CatalogEntry] = field(default_factory=list)
+    def __init__(self, source: str, entries: list[CatalogEntry] | None = None):
+        self.source = source
+        self.entries = [] if entries is None else entries
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -121,7 +119,7 @@ def catalog_path() -> str:
     override = os.environ.get(ENV_VAR)
     if override:
         return override
-    return str(resources.files("flat4spec").joinpath("data/catalog.json"))
+    return str(Path(__file__).with_name("data") / "catalog.json")
 
 
 def load_catalog(path: str | None = None) -> Catalog:

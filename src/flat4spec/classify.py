@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .group import BieberbachGroup, GroupError, sunada_tuple
@@ -31,16 +30,16 @@ def sunada_isospectral(a: BieberbachGroup, b: BieberbachGroup) -> bool:
 
 
 def L_isospectral(a: BieberbachGroup, b: BieberbachGroup, max2=4) -> bool:
-    """Equality of the sets of geodesic lengths.
+    """Equality of the monomial supports of the 0-form heat traces.
 
-    The length set is determined by the monomial support of the 0-form heat
-    trace, so support equality is used as the exact criterion; the finite
-    length sets up to max2 are compared as a cross-check.
+    This is the relation `classify_all(..., "L")` groups by.  Equal supports
+    give equal length sets, which are compared up to max2 as a one-way
+    cross-check.  The converse fails: 23 and 24 have different supports and
+    the same length set.
     """
     same_support = heat_trace_poly(a, 0).support() == heat_trace_poly(b, 0).support()
-    same_sets = length_set(a, max2) == length_set(b, max2)
-    if same_support != same_sets:
-        raise GroupError("length set and heat trace support disagree")
+    if same_support and length_set(a, max2) != length_set(b, max2):
+        raise GroupError("equal heat trace supports but different length sets")
     return same_support
 
 
@@ -71,12 +70,13 @@ def id_sort_key(name: str):
     return (int(m.group(1)), len(m.group(2)))
 
 
-@dataclass
 class ClassificationReport:
-    mode: str
-    params: dict
-    classes: list[list[str]]
-    errors: dict[str, str] = field(default_factory=dict)
+    def __init__(self, mode: str, params: dict, classes: list[list[str]],
+                 errors: dict[str, str] | None = None):
+        self.mode = mode
+        self.params = params
+        self.classes = classes
+        self.errors = {} if errors is None else errors
 
     def to_json(self) -> str:
         return json.dumps(

@@ -183,9 +183,9 @@ def cmd_crosscheck(args) -> int:
             exact = heat_trace_poly(e.group, p).eval_numeric(args.s, terms=args.trunc)
             series = heat_trace_numeric(e.group, p, args.s, args.mu_max)
             err = abs(exact - series)
-            status = "ok" if err <= args.tol else "MISMATCH"
-            if err > args.tol:
-                failures += 1
+            ok = err <= args.tol  # False for nan, which is a mismatch
+            status = "ok" if ok else "MISMATCH"
+            failures += not ok
             print(f"group {e.id:>5} p={p}: exact={exact:.12f} "
                   f"series={series:.12f} |diff|={err:.2e} {status}")
     if failures:

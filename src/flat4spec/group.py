@@ -23,11 +23,17 @@ invariants once, from one walk over the signed cycles of its code
 decomposition, the raw and folded component offsets of b and the
 p-independent theta monomial.  Torsion-freeness, Betti numbers,
 orientability (det B = tr_4 B) and the heat traces all read these values.
+
+`AffineIsometry` and `BieberbachGroup` are hand-written read-only classes:
+`__init__` sets the fields through object.__setattr__, assignment and
+deletion raise AttributeError, and equality and hash read only the fields
+(B, b) or (name, generators, holonomy).  The cached values above, the code
+and a group's cached hash are kept in the instance dict, outside the
+compared and hashed fields; cached_property writes that dict directly.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -75,18 +81,38 @@ def _compose(A: IntVector, a: Sequence, B: IntVector, b: Sequence) -> tuple[IntV
     return _product(A, B), t
 
 
-@dataclass(frozen=True)
-class AffineIsometry:
-    B: IntMatrix
-    b: RatVector
+class _Frozen:
+    """Read-only attributes; __init__ and cached_property write the instance dict."""
 
-    def __post_init__(self):
-        code = intlat.signed_code(self.B)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class AffineIsometry(_Frozen):
+    """gamma = B L_b; compared and hashed by (B, b), b normalized to [0, 1)^4."""
+
+    def __init__(self, B: IntMatrix, b: RatVector):
+        code = intlat.signed_code(B)
         if code is None:
             raise GroupError("matrix part must be a signed permutation")
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "b", _norm_vec(b))
         # kept in the instance dict, outside the compared and hashed fields
         object.__setattr__(self, "_code", code)
-        object.__setattr__(self, "b", _norm_vec(self.b))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.B, self.b) == (other.B, other.b)
+
+    def __hash__(self) -> int:
+        return hash((self.B, self.b))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(B={self.B!r}, b={self.b!r})"
 
     @classmethod
     def make(cls, B: Sequence[Sequence[int]], b: Sequence) -> "AffineIsometry":
@@ -167,20 +193,35 @@ class AffineIsometry:
         return any(r != 0 for r in self._raw_offsets)
 
 
-@dataclass(frozen=True)
-class BieberbachGroup:
-    name: str
-    generators: tuple[AffineIsometry, ...]
-    holonomy: tuple[AffineIsometry, ...]  # identity first, then sorted
-    metadata: dict = field(default_factory=dict, compare=False)
+class BieberbachGroup(_Frozen):
+    """Compared and hashed by (name, generators, holonomy); metadata is not."""
+
+    def __init__(self, name: str, generators: tuple[AffineIsometry, ...],
+                 holonomy: tuple[AffineIsometry, ...],  # identity first, then sorted
+                 metadata: dict | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "holonomy", holonomy)
+        object.__setattr__(self, "metadata", {} if metadata is None else metadata)
 
     @cached_property
     def _value_hash(self) -> int:
         return hash((self.name, self.generators, self.holonomy))
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.generators, self.holonomy)
+                == (other.name, other.generators, other.holonomy))
+
     def __hash__(self) -> int:
         # hashed by value, once: per-group caches key on the group
         return self._value_hash
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}(name={self.name!r}, "
+                f"generators={self.generators!r}, holonomy={self.holonomy!r}, "
+                f"metadata={self.metadata!r})")
 
     @property
     def order(self) -> int:

@@ -19,10 +19,9 @@ coset (see lengths).  The general routines `det` (cofactor expansion) and
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .qfield import QuadNumber
 
@@ -236,14 +235,12 @@ def kernel_basis(M: IntMatrix) -> tuple[IntVector, ...]:
 # -- fixed lattices of signed permutations --------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class FixedComponent:
+class FixedComponent(NamedTuple):
     vector: IntVector  # entries in {-1, 0, 1}
     d: int             # support size, equal to |vector|^2
 
 
-@dataclass(frozen=True, slots=True)
-class FixedDecomposition:
+class FixedDecomposition(NamedTuple):
     components: tuple[FixedComponent, ...]
 
     @property

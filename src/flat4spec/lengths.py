@@ -32,10 +32,10 @@ common denominator.  Only the returned squared lengths become Fractions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm
+from typing import NamedTuple
 
 from . import intlat
 from .group import BieberbachGroup, GroupError, is_abelian_holonomy
@@ -49,8 +49,7 @@ class LengthError(ValueError):
     pass
 
 
-@dataclass
-class CosetGeometry:
+class CosetGeometry(NamedTuple):
     """Precomputed data for one coset B L_{b + Z^4}."""
 
     B: IntMatrix

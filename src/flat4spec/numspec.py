@@ -60,7 +60,7 @@ def lattice_shell(mu: int) -> tuple[tuple[int, int, int, int], ...]:
 def e_term(g, mu: int) -> int | Fraction:
     """Exact sum of exp(-2 pi i v.b) over shell vectors fixed by the matrix part."""
     L = lcm(*(x.denominator for x in g.b))
-    lb = [int(x * L) for x in g.b]
+    lb = [x.numerator * (L // x.denominator) for x in g.b]
     # (B v)_i = s v_j for the one nonzero entry s = B[i][j]; rows with
     # B[i][i] = 1 hold for every v
     moved = [(i, j, s) for i, row in enumerate(g.B) for j, s in enumerate(row)

@@ -18,8 +18,8 @@ explicit scale, so stored coefficients are |F| times the true ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .group import BieberbachGroup
 from .qfield import QuadNumber
@@ -68,8 +68,7 @@ def monomial_str(m: Monomial) -> str:
     return "*".join(parts)
 
 
-@dataclass(frozen=True)
-class HeatTracePoly:
+class HeatTracePoly(NamedTuple):
     """|F|-scaled heat trace polynomial: true value is sum(coeffs)/order."""
 
     order: int

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from flat4spec import classify
 from flat4spec.classify import (MODES, classify_all, id_sort_key,
                                 p_isospectral, sunada_isospectral,
                                 L_isospectral, bracketL_isospectral)
+from flat4spec.group import GroupError
 
 from golden_classes import (BRACKETL_EXCLUDED, BRACKETL_PAIRS, L_SETS, P0_SETS,
                             P1_SETS, P2_SETS, as_sorted_lists)
@@ -59,6 +61,30 @@ def test_L_classes(catalog):
     report = classify_all(catalog.groups(), "L")
     assert _nontrivial(report) == [set(c) for c in as_sorted_lists(L_SETS)]
     assert report.errors == {}
+
+
+def test_L_isospectral_agrees_with_L_classes(catalog):
+    # 23/24 and 12/12' share a length set up to max2 = 4 but not a support;
+    # the cross-check is one-way, so they compare unequal without raising
+    classes = classify_all(catalog.groups(), "L").classes
+    class_of = {gid: k for k, cls in enumerate(classes) for gid in cls}
+    entries = list(catalog)
+    pairs = [(a, b) for i, a in enumerate(entries) for b in entries[i + 1:]
+             if a.group.order == b.group.order]
+    for a, b in pairs:
+        assert L_isospectral(a.group, b.group) == (class_of[a.id] == class_of[b.id])
+    assert not L_isospectral(catalog.group("23"), catalog.group("24"))
+    assert not L_isospectral(catalog.group("12"), catalog.group("12'"))
+
+
+def test_L_isospectral_raises_when_equal_supports_give_different_sets(
+        catalog, monkeypatch):
+    a, b = catalog.group("25"), catalog.group("27")
+    assert L_isospectral(a, b)
+    sets = {a: {Fraction(1)}, b: {Fraction(2)}}
+    monkeypatch.setattr(classify, "length_set", lambda G, max2: sets[G])
+    with pytest.raises(GroupError, match="different length sets"):
+        L_isospectral(a, b)
 
 
 def test_bracketL_classes(catalog):

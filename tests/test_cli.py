@@ -151,3 +151,13 @@ def test_crosscheck(capsys):
                          "--mu-max", "1", "--tol", "1e-12")
     assert code == 1
     assert "MISMATCH" in out and "mismatches" in err
+
+
+def test_crosscheck_nan_is_a_mismatch(capsys):
+    # at s = 1e-320, 1/(4s) overflows to inf and the m = 0 theta term is
+    # exp(-0 * inf) = nan; nan compares false both ways against the tolerance
+    code, out, err = run(capsys, "crosscheck", "1", "-p", "0", "-s", "1e-320",
+                         "--mu-max", "2")
+    assert code == 1
+    assert "exact=nan" in out and out.rstrip().endswith("MISMATCH")
+    assert err == "1 mismatches above tolerance 1e-08\n"
