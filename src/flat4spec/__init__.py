@@ -18,7 +18,7 @@ from .group import (AffineIsometry, BieberbachGroup, GroupError, betti,
                     is_orientable, sunada_numbers, sunada_tuple)
 from .kraw import krawtchouk, trace_p
 from .lengths import length_multiplicity, length_set, length_spectrum
-from .numspec import heat_trace_numeric, lattice_shell, multiplicity
+from .numspec import heat_trace_numeric, lattice_shell, multiplicities, multiplicity
 from .qfield import QuadNumber, UnrepresentableRadical
 from .theta import HeatTracePoly, heat_trace_poly, poly_equal, theta_value
 
@@ -51,6 +51,7 @@ __all__ = [
     "length_set",
     "length_spectrum",
     "load_catalog",
+    "multiplicities",
     "multiplicity",
     "p_isospectral",
     "poly_equal",

@@ -25,7 +25,7 @@ from .catalog import Catalog, CatalogError, catalog_path, load_catalog
 from .classify import MODES, classify_all
 from .group import GroupError, betti, is_orientable
 from .lengths import length_set, length_spectrum
-from .numspec import heat_trace_numeric, multiplicity
+from .numspec import heat_trace_numeric, multiplicities
 from .theta import heat_trace_poly
 
 
@@ -43,8 +43,13 @@ def _checked(parse, accept, expected: str):
 
 
 _positive_fraction = _checked(Fraction, lambda x: x > 0, "a positive rational")
-_positive_float = _checked(float, lambda x: 0 < x < math.inf,
-                           "a positive finite number")
+# Smallest heat time crosscheck accepts.  As s -> 0 each z_{d,r}(s) grows like
+# (4 pi s)^{-1/2}, so a degree-4 theta monomial overflows a float below about
+# s = 6e-156 (and theta_value is nan below about 1e-309); every catalog
+# polynomial evaluates finitely at this floor.
+MIN_HEAT_TIME = 1e-100
+_heat_time = _checked(float, lambda x: MIN_HEAT_TIME <= x < math.inf,
+                      f"a finite heat time >= {MIN_HEAT_TIME:g}")
 _nonnegative_int = _checked(int, lambda x: x >= 0, "a nonnegative integer")
 
 
@@ -134,7 +139,7 @@ def cmd_spectrum(args) -> int:
     entry = cat.get(args.id)
     degrees = range(5) if args.p is None else [args.p]
     for p in degrees:
-        mults = [multiplicity(entry.group, p, mu) for mu in range(args.max_mu + 1)]
+        mults = multiplicities(entry.group, p, args.max_mu)
         print(f"group {entry.id}, p={p}: d_mu for mu=0..{args.max_mu}: {mults}")
     return 0
 
@@ -247,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ids", nargs="*", help="group ids (default: all)")
     p.add_argument("-p", type=int, choices=range(5), default=None,
                    help="form degree (default: all)")
-    p.add_argument("-s", type=_positive_float, default=0.08, help="heat time")
+    p.add_argument("-s", type=_heat_time, default=0.08,
+                   help=f"heat time (at least {MIN_HEAT_TIME:g})")
     p.add_argument("--mu-max", type=_nonnegative_int, default=40)
     p.add_argument("--trunc", type=_nonnegative_int, default=60,
                    help="theta sum truncation")

@@ -1,35 +1,33 @@
 """Exact spectrum: eigenvalue multiplicities and truncated heat traces.
 
-The Laplacian on p-forms of R^4/Gamma has eigenvalues 4 pi^2 mu for integers
-mu >= 0 (the dual lattice of Z^4 is Z^4), with multiplicity
+The p-form Laplacian of R^4/Gamma has eigenvalues 4 pi^2 mu, mu >= 0 an
+integer, and their multiplicities d_{p,mu} are the Poisson dual of the heat
+trace polynomial of `theta`.  With q = exp(-4 pi^2 s), z_{d,r}(s) = sqrt(d) theta_{d,r}(q),
 
-    d_{p,mu} = (1/|F|) sum_gamma tr_p(B) e_{mu,gamma},
-    e_{mu,gamma} = sum over v in the mu-shell with B v = v of exp(-2 pi i v.b).
+    theta_{d,r}(q) = sum_n cos(2 pi n r) q^{d n^2} = 1 + sum_{n>=1} 2 cos(2 pi n r) q^{d n^2},
 
-If L is the common denominator of b, the phase v.b lies in (1/L)Z, so the
-e-sum is a count of fixed shell vectors per residue k = L v.b mod L weighted
-by cos(2 pi k / L) (v and -v are both fixed, so the sines cancel).  That
-cosine is rational exactly when k/L in lowest terms has denominator 1, 2, 3,
-4 or 6, which covers every catalog translation; a fixed vector with any
-other phase denominator is refused rather than approximated.
+and the sqrt(d_i) cancel an element's factor 1/vol = 1/sqrt(prod_i d_i), so
+sum_mu d_{p,mu} q^mu = (1/|F|) sum_m c_{p,m} prod_{(d,r)^e in m} theta_{d,r}(q)^e
+with c_{p,m} the integer trace sums of `theta.trace_sums`.  One element's q^mu
+coefficient is its e-sum, the sum of exp(-2 pi i v.b) over v in Z^4 with
+|v|^2 = mu and B v = v; those v are the sums n_i u_i over the fixed components.
+
+For k/L in lowest terms, 2 cos(2 pi k / L) is an integer exactly when L is
+1, 2, 3, 4 or 6, and then depends on L alone (`_TWO_COS`); that covers every
+catalog offset.  So every coefficient is an integer, the division by |F| is
+checked, and the result is exact; other phase denominators are refused.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import exp, gcd, isqrt, lcm, pi
+from math import exp, isqrt, pi
 
 from .group import BieberbachGroup
+from .theta import Monomial, trace_sums
 
-_HALF = Fraction(1, 2)
-# cos(2 pi k / L) for k = 0, ..., L - 1, for the denominators L where it is rational
-_COSINES = {
-    1: (1,),
-    2: (1, -1),
-    3: (1, -_HALF, -_HALF),
-    4: (1, 0, -1, 0),
-    6: (1, _HALF, -_HALF, -1, -_HALF, _HALF),
-}
+# 2 cos(2 pi k / L) for k prime to L, for the denominators L where it is an integer
+_TWO_COS = {1: 2, 2: -2, 3: -1, 4: 0, 6: 1}
 
 
 @lru_cache(maxsize=None)
@@ -57,57 +55,57 @@ def lattice_shell(mu: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(out)
 
 
-def e_term(g, mu: int) -> int | Fraction:
-    """Exact sum of exp(-2 pi i v.b) over shell vectors fixed by the matrix part."""
-    L = lcm(*(x.denominator for x in g.b))
-    lb = [x.numerator * (L // x.denominator) for x in g.b]
-    # (B v)_i = s v_j for the one nonzero entry s = B[i][j]; rows with
-    # B[i][i] = 1 hold for every v
-    moved = [(i, j, s) for i, row in enumerate(g.B) for j, s in enumerate(row)
-             if s and (i != j or s != 1)]
-    counts = [0] * L
-    for v in lattice_shell(mu):
-        for i, j, s in moved:
-            if v[i] != s * v[j]:
-                break
-        else:
-            counts[(v[0] * lb[0] + v[1] * lb[1] + v[2] * lb[2] + v[3] * lb[3]) % L] += 1
-    total = 0
-    for k, count in enumerate(counts):
-        if count:
-            # the phase k/L in lowest terms; b off the fixed space can make L
-            # larger than the phase denominators that occur
-            d = gcd(k, L)
-            cosines = _COSINES.get(L // d)
-            if cosines is None:
-                raise ArithmeticError(
-                    f"phase denominator {L // d}: cos(2 pi {k // d}/{L // d}) is not rational")
-            total += count * cosines[k // d]
-    return total.numerator if total.denominator == 1 else total
-
-
 @lru_cache(maxsize=None)
-def _e_terms(G: BieberbachGroup, mu: int) -> tuple[int | Fraction, ...]:
-    # keyed by group value: every degree p reuses the same e-sums
-    return tuple(e_term(g, mu) for g in G.holonomy)
+def _series(mono: Monomial, N: int) -> tuple[int, ...]:
+    """Coefficients of q^0, ..., q^N in prod theta_{d,r}(q)^e over the monomial."""
+    out = [1] + [0] * N
+    for (d, r), e in mono:
+        terms = []  # (d n^2, 2 cos(2 pi n r)) for the nonzero terms with n >= 1
+        for n in range(1, isqrt(N // d) + 1):
+            phase = n * r
+            c = _TWO_COS.get(phase.denominator)
+            if c is None:
+                raise ArithmeticError(f"cos(2 pi {phase}) is not rational")
+            if c:
+                terms.append((d * n * n, c))
+        for _ in range(e):
+            new = out[:]
+            for t, c in terms:
+                for mu in range(t, N + 1):
+                    new[mu] += c * out[mu - t]
+            out = new
+    return tuple(out)
+
+
+def e_term(g, mu: int) -> int:
+    """Exact sum of exp(-2 pi i v.b) over shell vectors fixed by the matrix part."""
+    if mu < 0:
+        raise ValueError("shell index must be nonnegative")
+    return _series(g.theta_monomial(), mu)[mu]
+
+
+def multiplicities(G: BieberbachGroup, p: int, mu_max: int) -> list[int]:
+    """Multiplicities of the eigenvalues 4 pi^2 mu, mu = 0..mu_max, of the p-form Laplacian."""
+    if mu_max < 0:
+        raise ValueError("shell index must be nonnegative")
+    totals = [0] * (mu_max + 1)
+    for mono, tr in trace_sums(G, p).items():
+        for mu, c in enumerate(_series(mono, mu_max)):
+            totals[mu] += tr * c
+    for total in totals:
+        if total % G.order:
+            raise ArithmeticError(f"multiplicity not integral: {Fraction(total, G.order)}")
+        if total < 0:
+            raise ArithmeticError(f"negative multiplicity {total // G.order}")
+    return [total // G.order for total in totals]
 
 
 def multiplicity(G: BieberbachGroup, p: int, mu: int) -> int:
     """Multiplicity of the eigenvalue 4 pi^2 mu of the p-form Laplacian."""
-    if not 0 <= p <= 4:
-        raise ValueError("form degree out of range")
-    total = sum(g.traces()[p] * e for g, e in zip(G.holonomy, _e_terms(G, mu)))
-    value = Fraction(total, G.order)
-    if value.denominator != 1:
-        raise ArithmeticError(f"multiplicity not integral: {value}")
-    if value < 0:
-        raise ArithmeticError(f"negative multiplicity {value}")
-    return value.numerator
+    return multiplicities(G, p, mu)[mu]
 
 
 def heat_trace_numeric(G: BieberbachGroup, p: int, s: float, mu_max: int) -> float:
     """Truncated spectral heat trace sum_{mu <= mu_max} d_{p,mu} e^{-4 pi^2 mu s}."""
-    return sum(
-        multiplicity(G, p, mu) * exp(-4.0 * pi * pi * mu * s)
-        for mu in range(mu_max + 1)
-    )
+    return sum(d * exp(-4.0 * pi * pi * mu * s)
+               for mu, d in enumerate(multiplicities(G, p, mu_max)))

@@ -104,11 +104,14 @@ class HeatTracePoly(NamedTuple):
         return f"{self.order}*Z_p = " + " + ".join(parts)
 
     def eval_numeric(self, s: float, terms: int = 40) -> float:
+        values: dict[tuple[int, Fraction], float] = {}  # each variable once
         total = 0.0
         for mono, coef in self.coeffs:
             val = float(coef)
-            for (d, r), e in mono:
-                val *= theta_value(d, r, s, terms) ** e
+            for var, e in mono:
+                if var not in values:
+                    values[var] = theta_value(*var, s, terms)
+                val *= values[var] ** e
             total += val
         return total / self.order
 
@@ -136,20 +139,28 @@ def theta_value(d: int, r, s: float, terms: int = 40) -> float:
     return total / math.sqrt(4.0 * math.pi * s)
 
 
-def heat_trace_poly(G: BieberbachGroup, p: int) -> HeatTracePoly:
-    """Exact p-form heat trace of R^4/G as a theta polynomial."""
+def trace_sums(G: BieberbachGroup, p: int) -> dict[Monomial, int]:
+    """c_{p,m}: the sum of tr_p(B) over the holonomy elements with theta monomial m.
+
+    Elements with tr_p(B) = 0 are skipped, but a sum may still cancel to 0.
+    """
     if not 0 <= p <= 4:
         raise ValueError("form degree out of range")
-    # a monomial fixes the product D of its dimensions d, hence the common
-    # factor 1/vol = 1/sqrt(D) = sqrt(D)/D of every element it collects
-    trace_sums: dict[Monomial, int] = {}
+    sums: dict[Monomial, int] = {}
     for g in G.holonomy:
         tr = g.traces()[p]
         if tr != 0:
             mono = g.theta_monomial()
-            trace_sums[mono] = trace_sums.get(mono, 0) + tr
+            sums[mono] = sums.get(mono, 0) + tr
+    return sums
+
+
+def heat_trace_poly(G: BieberbachGroup, p: int) -> HeatTracePoly:
+    """Exact p-form heat trace of R^4/G as a theta polynomial."""
+    # a monomial fixes the product D of its dimensions d, hence the common
+    # factor 1/vol = 1/sqrt(D) = sqrt(D)/D of every element it collects
     terms = []
-    for mono, tr in trace_sums.items():
+    for mono, tr in trace_sums(G, p).items():
         D = math.prod(d ** e for (d, _), e in mono)
         terms.append((mono, QuadNumber.sqrt_int(D) * Fraction(tr, D)))
     return HeatTracePoly.from_terms(G.order, terms)

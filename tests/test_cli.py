@@ -1,9 +1,11 @@
 import json
+import math
 
 import pytest
 
 from flat4spec.catalog import catalog_path
-from flat4spec.cli import main
+from flat4spec.cli import MIN_HEAT_TIME, main
+from flat4spec.theta import HeatTracePoly
 
 
 def run(capsys, *argv):
@@ -61,6 +63,10 @@ def test_usage_error_exit_code(capsys):
     ["crosscheck", "2", "--tol", "nan"],
     ["crosscheck", "2", "--tol", "-1"],
     ["crosscheck", "2", "--tol", "inf"],
+    # below MIN_HEAT_TIME: theta_value is nan at 1e-320, and at 1e-300 a
+    # power of it overflows
+    ["crosscheck", "2", "-s", "1e-320"],
+    ["crosscheck", "2", "-s", "1e-300"],
 ])
 def test_bad_option_values_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -153,11 +159,23 @@ def test_crosscheck(capsys):
     assert "MISMATCH" in out and "mismatches" in err
 
 
-def test_crosscheck_nan_is_a_mismatch(capsys):
-    # at s = 1e-320, 1/(4s) overflows to inf and the m = 0 theta term is
-    # exp(-0 * inf) = nan; nan compares false both ways against the tolerance
-    code, out, err = run(capsys, "crosscheck", "1", "-p", "0", "-s", "1e-320",
-                         "--mu-max", "2")
+def test_crosscheck_nan_is_a_mismatch(capsys, monkeypatch):
+    # nan compares false both ways against the tolerance
+    monkeypatch.setattr(HeatTracePoly, "eval_numeric", lambda self, s, terms: math.nan)
+    code, out, err = run(capsys, "crosscheck", "1", "-p", "0", "--mu-max", "2")
     assert code == 1
     assert "exact=nan" in out and out.rstrip().endswith("MISMATCH")
     assert err == "1 mismatches above tolerance 1e-08\n"
+
+
+def test_crosscheck_at_the_smallest_heat_time(capsys):
+    # every catalog polynomial is finite at the floor; the truncated series
+    # is far off there, which is a mismatch, not an error
+    code, out, err = run(capsys, "crosscheck", "-s", str(MIN_HEAT_TIME), "--mu-max", "0")
+    rows = out.splitlines()
+    assert len(rows) == 77 * 5
+    for row in rows:
+        exact = float(row.split("exact=")[1].split()[0])
+        assert math.isfinite(exact) and exact >= 0, row
+    assert code == 1
+    assert err == f"{len(rows)} mismatches above tolerance 1e-08\n"

@@ -1,7 +1,7 @@
 import cmath
 from collections import Counter
 from fractions import Fraction
-from math import comb, cos, exp, pi
+from math import comb, cos, exp, gcd, lcm, pi
 
 import pytest
 
@@ -10,7 +10,7 @@ from flat4spec.group import AffineIsometry, BieberbachGroup, build_group
 from flat4spec.intlat import identity, mat_vec, signed_cycles
 from flat4spec.kraw import cycle_charpoly
 from flat4spec.numspec import (e_term, heat_trace_numeric, lattice_shell,
-                               multiplicity)
+                               multiplicities, multiplicity)
 
 # representation numbers r4(mu) of four squares, mu = 0..10
 R4 = (1, 8, 24, 32, 24, 48, 96, 64, 24, 104, 144)
@@ -27,6 +27,71 @@ def test_lattice_shell_counts():
 def test_lattice_shell_rejects_negative():
     with pytest.raises(ValueError):
         lattice_shell(-1)
+
+
+_HALF = Fraction(1, 2)
+# cos(2 pi k / L) for k = 0, ..., L - 1, for the denominators L where it is rational
+_COSINES = {
+    1: (1,),
+    2: (1, -1),
+    3: (1, -_HALF, -_HALF),
+    4: (1, 0, -1, 0),
+    6: (1, _HALF, -_HALF, -1, -_HALF, _HALF),
+}
+
+
+def _e_term_shell(g, mu):
+    """The e-sum as a count of fixed shell vectors per phase, weighted by cosines.
+
+    It tests B v = v on every vector of the shell, so it does not rely on the
+    fixed decomposition or the offsets that `e_term` reads.
+    """
+    L = lcm(*(x.denominator for x in g.b))
+    lb = [x.numerator * (L // x.denominator) for x in g.b]
+    # (B v)_i = s v_j for the one nonzero entry s = B[i][j]; rows with
+    # B[i][i] = 1 hold for every v
+    moved = [(i, j, s) for i, row in enumerate(g.B) for j, s in enumerate(row)
+             if s and (i != j or s != 1)]
+    counts = [0] * L
+    for v in lattice_shell(mu):
+        for i, j, s in moved:
+            if v[i] != s * v[j]:
+                break
+        else:
+            counts[(v[0] * lb[0] + v[1] * lb[1] + v[2] * lb[2] + v[3] * lb[3]) % L] += 1
+    total = 0
+    for k, count in enumerate(counts):
+        if count:
+            d = gcd(k, L)
+            total += count * _COSINES[L // d][k // d]
+    return total
+
+
+@pytest.fixture(scope="module")
+def shell_e_terms(catalog):
+    """_e_term_shell(g, mu) for mu <= 25 and every distinct catalog element."""
+    elements = {(g.B, g.b): g for entry in catalog for g in entry.group.holonomy}
+    return {key: [_e_term_shell(g, mu) for mu in range(26)]
+            for key, g in elements.items()}
+
+
+def test_e_term_matches_shell_counts(catalog, shell_e_terms):
+    assert len(shell_e_terms) == 150
+    for entry in catalog:
+        for g in entry.group.holonomy:
+            want = shell_e_terms[g.B, g.b]
+            assert [e_term(g, mu) for mu in range(26)] == want, (entry.id, g)
+
+
+def test_multiplicities_match_shell_counts(catalog, shell_e_terms):
+    for entry in catalog:
+        G = entry.group
+        for p in range(5):
+            sums = [sum(g.traces()[p] * shell_e_terms[g.B, g.b][mu] for g in G.holonomy)
+                    for mu in range(26)]
+            oracle = [Fraction(total, G.order) for total in sums]
+            assert multiplicities(G, p, 25) == oracle, (entry.id, p)
+            assert multiplicity(G, p, 25) == oracle[25], (entry.id, p)
 
 
 def test_torus_multiplicities(catalog):
@@ -106,13 +171,20 @@ def test_multiplicity_with_rational_phases_off_the_fixed_space():
 def test_multiplicity_refuses_nonintegral_sums(catalog, monkeypatch):
     G = catalog.group("2")
     assert G.order == 2
-    monkeypatch.setattr(numspec, "_e_terms", lambda G, mu: (1, 0))
+    identity, other = (g.theta_monomial() for g in G.holonomy)
+    assert identity != other
+
+    def series(e_identity, e_other):
+        # the q^1 coefficients of the two elements' series
+        return lambda mono, N: (0, e_identity if mono == identity else e_other)
+
+    monkeypatch.setattr(numspec, "_series", series(1, 0))
     with pytest.raises(ArithmeticError, match="not integral"):
         multiplicity(G, 0, 1)
-    monkeypatch.setattr(numspec, "_e_terms", lambda G, mu: (Fraction(1, 2), Fraction(1, 2)))
+    monkeypatch.setattr(numspec, "_series", series(Fraction(1, 2), Fraction(1, 2)))
     with pytest.raises(ArithmeticError, match="not integral"):
         multiplicity(G, 0, 1)
-    monkeypatch.setattr(numspec, "_e_terms", lambda G, mu: (-2, 0))
+    monkeypatch.setattr(numspec, "_series", series(-2, 0))
     with pytest.raises(ArithmeticError, match="negative"):
         multiplicity(G, 0, 1)
 
@@ -167,6 +239,14 @@ def test_poincare_duality(catalog):
 def test_form_degree_range(catalog):
     with pytest.raises(ValueError):
         multiplicity(catalog.group("1"), 5, 0)
+
+
+def test_negative_shell_index(catalog):
+    G = catalog.group("2")
+    for call in (lambda: multiplicity(G, 0, -1), lambda: multiplicities(G, 0, -1),
+                 lambda: e_term(G.holonomy[1], -1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            call()
 
 
 def test_heat_trace_numeric_is_weighted_sum(catalog):
