@@ -269,7 +269,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CatalogError, GroupError, ValueError, KeyError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {msg}", file=sys.stderr)
         return 1
 
 

@@ -1,24 +1,22 @@
 """Bieberbach groups with translation lattice Z^4.
 
 A group is generated by affine isometries gamma = B L_b acting by
-x -> B x + B b, with B an integral orthogonal (signed permutation) matrix and
-b rational.  Elements are normalized so b lies in [0, 1)^4; the holonomy
-group is the finite set of coset representatives mod the lattice.
+x -> B x + B b, with B a signed permutation matrix and b rational.  Elements
+are normalized so b lies in [0, 1)^4; the holonomy group is the finite set of
+coset representatives mod the lattice.  Composition follows from the action:
 
-Composition follows from the action:
-    (B, b) * (B', b') = (B B', B'^{-1} b + b')      (translation part mod Z^4)
+    (B, b) * (B', b') = (B B', B'^T b + b')      (translation part mod Z^4)
 
-B' is a signed permutation, so B'^{-1} = B'^T.  The one product rule,
-`_compose`, works on signed-permutation codes (intlat.signed_code) and needs
-only addition and negation of translations.  So `build_group` runs the closure
-on codes and on translations scaled by D, the lcm of the generators'
-translation denominators, reduced mod D: arithmetic mod 1, exact.  Only the
-final holonomy elements become `AffineIsometry` objects, with translations
-from one per-group table of the fractions k/D in use.  `build_group` refuses generators that
-are not 4x4 with 4 translation entries.
+Each element keeps the signed-permutation code of B (intlat.signed_code);
+products, inverses and the action on points run on it through the one
+product rule, intlat.code_compose.  `build_group` closes the generators on
+codes and on translations scaled by D, the lcm of their denominators, reduced
+mod D.  Only the final holonomy elements become `AffineIsometry` objects,
+with translations from one table of the fractions k/D in use.  It refuses
+generators that are not 4x4 with 4 translation entries.
 
 Each element checks its matrix once, on construction, then computes its
-invariants once, from one walk over the signed cycles of its code
+invariants once, from one walk over the cycles of its code
 (intlat.code_cycles), and keeps them: the p-form traces, the fixed
 decomposition, the raw and folded component offsets of b and the
 p-independent theta monomial.  Torsion-freeness, Betti numbers,
@@ -40,7 +38,8 @@ from math import lcm
 from typing import Sequence
 
 from . import intlat
-from .intlat import FixedDecomposition, IntMatrix, IntVector, RatVector
+from .intlat import (FixedDecomposition, IntMatrix, RatVector, code_compose,
+                     code_inverse, code_product)
 from .kraw import cycle_charpoly
 
 MAX_HOLONOMY_ORDER = 48
@@ -59,26 +58,6 @@ def _norm_vec(v: Sequence) -> RatVector:
         floor = f.numerator // f.denominator
         out.append(f - floor if floor else f)
     return tuple(out)
-
-
-def _product(A: IntVector, B: IntVector) -> IntVector:
-    """Code of A B: row i of A B is s * B[j] for the entry s = A[i][j]."""
-    return tuple([B[c - 1] if c > 0 else -B[-c - 1] for c in A])
-
-
-def _compose(A: IntVector, a: Sequence, B: IntVector, b: Sequence) -> tuple[IntVector, list]:
-    """(A, a) * (B, b) = (A B, B^T a + b) for signed-permutation codes A and B.
-
-    Each entry s = B[i][j] adds s * a_i to coordinate j of B^T a.  The
-    translation part is not reduced mod the lattice.
-    """
-    t = list(b)
-    for x, c in zip(a, B):
-        if c > 0:
-            t[c - 1] += x
-        else:
-            t[-c - 1] -= x
-    return _product(A, B), t
 
 
 class _Frozen:
@@ -116,27 +95,27 @@ class AffineIsometry(_Frozen):
 
     @classmethod
     def make(cls, B: Sequence[Sequence[int]], b: Sequence) -> "AffineIsometry":
-        return cls(intlat.as_matrix(B), tuple(Fraction(x) for x in b))
+        return cls(tuple(tuple(int(x) for x in row) for row in B), tuple(Fraction(x) for x in b))
 
     @classmethod
     def identity(cls, n: int = 4) -> "AffineIsometry":
         return cls(intlat.identity(n), (Fraction(0),) * n)
 
     def __mul__(self, other: "AffineIsometry") -> "AffineIsometry":
-        M, t = _compose(self._code, self.b, other._code, other.b)
+        M, t = code_compose(self._code, self.b, other._code, other.b)
         return AffineIsometry(intlat.code_matrix(M), t)
 
     def inverse(self) -> "AffineIsometry":
-        binv = intlat.transpose(self.B)
-        newb = tuple(-x for x in intlat.mat_vec(self.B, self.b))
-        return AffineIsometry(binv, newb)
+        # (B^T, -B b)
+        newb = tuple(-x for x in code_product(self._code, self.b))
+        return AffineIsometry(intlat.code_matrix(code_inverse(self._code)), newb)
 
     def is_identity_matrix(self) -> bool:
         return self._code == _IDENTITY_CODE
 
     def apply(self, x: Sequence[Fraction]) -> RatVector:
         shifted = tuple(Fraction(xi) + bi for xi, bi in zip(x, self.b))
-        return intlat.mat_vec(self.B, shifted)
+        return code_product(self._code, shifted)
 
     # -- invariants ----------------------------------------------------
     # Computed once per element, from one walk over the signed cycles of B,
@@ -250,7 +229,7 @@ def build_group(generators: Sequence[AffineIsometry], name: str = "",
         cur = frontier.pop(0)
         a = elements[cur]
         for B, b in scaled:
-            for M, t in (_compose(cur, a, B, b), _compose(B, b, cur, a)):
+            for M, t in (code_compose(cur, a, B, b), code_compose(B, b, cur, a)):
                 t = tuple([x % D for x in t])
                 first = elements.get(M)
                 if first is None:
@@ -295,7 +274,7 @@ def is_diagonal_type(G: BieberbachGroup) -> bool:
 
 def is_abelian_holonomy(G: BieberbachGroup) -> bool:
     codes = [g._code for g in G.holonomy]
-    return all(_product(a, b) == _product(b, a) for a in codes for b in codes)
+    return all(code_product(a, b) == code_product(b, a) for a in codes for b in codes)
 
 
 def betti(G: BieberbachGroup, p: int) -> int:

@@ -1,21 +1,22 @@
-"""Exact integer linear algebra on the lattice Z^4.
+"""Signed-permutation codes and fixed lattices on the lattice Z^4.
 
-Matrices are immutable tuples of tuples of ints (row major).  Vectors with
-rational entries are tuples of Fraction.  Everything here is small (4x4), so
-clarity beats asymptotics; the Smith reduction is plain gcd elimination with
-unimodular bookkeeping.  `raw_offsets` works on a rational vector scaled to
-integers by the lcm of its denominators and makes one Fraction per offset.
-
-Holonomy matrices are signed permutations.  `signed_code` checks one in a
-single pass and returns row i as s*(j+1) for its nonzero entry s = B[i][j];
-`code_cycles` is the one walk over the cycles of a code, and `signed_cycles`
-checks a matrix, then walks it.  A cycle of length k with sign product eps
-contributes the factor 1 - eps*(-t)^k to det(Id + t*B) (see
-kraw.charpoly_coeffs) and, when eps = +1, one fixed component of support size
-k (see decompose_fixed).  It also contributes Z (eps = +1) or Z/2 (eps = -1)
-to the quotient Z^4 / (B^{-1} - Id) Z^4 that labels conjugacy classes within a
-coset (see lengths).  The general routines `det` (cofactor expansion) and
-`fixed_lattice_basis` (Smith reduction) do not use this structure.
+Matrices are tuples of tuples of ints (row major); rational vectors are tuples
+of Fraction.  Holonomy matrices are signed permutations, and everything here
+runs on their codes.  `signed_code` checks a matrix in one pass and returns
+row i as s*(j+1) for its nonzero entry s = B[i][j]; `checked_code` raises
+instead of returning None, and `code_matrix` goes back.  `code_product` is the
+one product rule, row i of A B being s times row j of B; with a vector v in
+place of B it gives A v.  `code_compose` multiplies affine pairs with it and
+`code_inverse` transposes.  `code_cycles` is the one walk over the cycles of a
+code.  A cycle of length k with sign product eps contributes the factor
+1 - eps*(-t)^k to det(Id + t*B) (see kraw.charpoly_coeffs) and, when eps = +1,
+one fixed component of support size k (see decompose_fixed).  It also
+contributes Z (eps = +1) or Z/2 (eps = -1) to the quotient
+Z^4 / (B^{-1} - Id) Z^4 that labels conjugacy classes within a coset (see
+lengths).  `raw_offsets` works on a rational vector scaled to integers by the
+lcm of its denominators.  `smith_normal_form` (plain gcd elimination with
+unimodular bookkeeping) is the one generic routine left; no engine path calls
+it, and the benchmark's tracer counts its calls.
 """
 from __future__ import annotations
 
@@ -34,35 +35,8 @@ class LatticeError(ValueError):
     pass
 
 
-def as_matrix(rows: Sequence[Sequence[int]]) -> IntMatrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
-
-
-def dim(M: IntMatrix) -> int:
-    return len(M)
-
-
 def identity(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def transpose(M: IntMatrix) -> IntMatrix:
-    return tuple(zip(*M))
-
-
-def mat_mul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
-    return tuple(
-        tuple(sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0])))
-        for i in range(len(A))
-    )
-
-
-def mat_vec(M: IntMatrix, v: Sequence) -> tuple:
-    return tuple(sum(M[i][k] * v[k] for k in range(len(v))) for i in range(len(M)))
-
-
-def mat_sub(A: IntMatrix, B: IntMatrix) -> IntMatrix:
-    return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
 def signed_code(M: IntMatrix) -> IntVector | None:
@@ -77,27 +51,45 @@ def signed_code(M: IntMatrix) -> IntVector | None:
     return tuple(code) if len({abs(c) for c in code}) == n else None
 
 
+def checked_code(M: IntMatrix) -> IntVector:
+    """`signed_code` of M; LatticeError unless M is a signed permutation."""
+    if (code := signed_code(M)) is None:
+        raise LatticeError("expected a signed permutation matrix")
+    return code
+
+
 def code_matrix(code: Sequence[int]) -> IntMatrix:
     """The signed permutation matrix with this `signed_code`."""
     zeros = (0,) * len(code)
     return tuple(zeros[:abs(c) - 1] + (1 if c > 0 else -1,) + zeros[abs(c):] for c in code)
 
 
-def is_signed_permutation(M: IntMatrix) -> bool:
-    return signed_code(M) is not None
+def code_product(A: Sequence[int], B: Sequence) -> tuple:
+    """Code of A B, row i being s * B[j] for s = A[i][j]; with a vector v for B, A v."""
+    return tuple([B[c - 1] if c > 0 else -B[-c - 1] for c in A])
 
 
-def det(M: IntMatrix) -> int:
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    total = 0
-    for j in range(n):
-        if M[0][j] == 0:
-            continue
-        minor = tuple(tuple(row[k] for k in range(n) if k != j) for row in M[1:])
-        total += (-1) ** j * M[0][j] * det(minor)
-    return total
+def code_compose(A: IntVector, a: Sequence, B: IntVector, b: Sequence) -> tuple[IntVector, list]:
+    """(A, a) * (B, b) = (A B, B^T a + b) for signed-permutation codes A and B.
+
+    Each entry s = B[i][j] adds s * a_i to coordinate j of B^T a.  The
+    translation part is not reduced mod the lattice.
+    """
+    t = list(b)
+    for x, c in zip(a, B):
+        if c > 0:
+            t[c - 1] += x
+        else:
+            t[-c - 1] -= x
+    return code_product(A, B), t
+
+
+def code_inverse(code: Sequence[int]) -> IntVector:
+    """Code of B^{-1} = B^T: the entry s = B[i][j] is B^T[j][i]."""
+    inv = [0] * len(code)
+    for i, c in enumerate(code, 1):
+        inv[abs(c) - 1] = i if c > 0 else -i
+    return tuple(inv)
 
 
 # -- Smith normal form ---------------------------------------------------
@@ -223,15 +215,6 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     )
 
 
-def kernel_basis(M: IntMatrix) -> tuple[IntVector, ...]:
-    """Saturated basis of the integer kernel {v : M v = 0}."""
-    U, D, V = smith_normal_form(M)
-    cols = len(M[0])
-    rank = sum(1 for i in range(min(len(M), cols)) if D[i][i] != 0)
-    Vt = transpose(V)
-    return tuple(Vt[j] for j in range(rank, cols))
-
-
 # -- fixed lattices of signed permutations --------------------------------
 
 
@@ -254,25 +237,13 @@ class FixedDecomposition(NamedTuple):
         return vol
 
 
-def fixed_lattice_basis(B: IntMatrix) -> tuple[IntVector, ...]:
-    """Saturated basis of the fixed lattice ker(B - Id), via Smith reduction."""
-    return kernel_basis(mat_sub(B, identity(dim(B))))
-
-
-def signed_cycles(B: IntMatrix) -> list[tuple[tuple[tuple[int, int], ...], int]]:
-    """Cycles of a signed permutation as (orbit, eps), ordered by smallest axis.
-
-    Each cycle starts at its smallest axis a and lists (axis, sign) with
-    B^k e_a = sign * e_axis for k = 0, ..., len - 1; eps is the product of the
-    signs along the cycle, so B^len e_a = eps * e_a.
-    """
-    if (code := signed_code(B)) is None:
-        raise LatticeError("expected a signed permutation matrix")
-    return code_cycles(code)
-
-
 def code_cycles(code: Sequence[int]) -> list[tuple[tuple[tuple[int, int], ...], int]]:
-    """`signed_cycles` of the signed permutation with this code, which is not checked."""
+    """Cycles of the signed permutation B with this (unchecked) code, by smallest axis.
+
+    A cycle (orbit, eps) starts at its smallest axis a and lists (axis, sign)
+    with B^k e_a = sign * e_axis for k = 0, ..., len - 1; eps is the product of
+    the signs along the cycle, so B^len e_a = eps * e_a.
+    """
     image = [None] * len(code)
     for j, c in enumerate(code):
         image[abs(c) - 1] = (j, 1 if c > 0 else -1)  # B e_i = sign * e_j
@@ -294,7 +265,7 @@ def code_cycles(code: Sequence[int]) -> list[tuple[tuple[tuple[int, int], ...], 
 
 def decompose_fixed(B: IntMatrix) -> FixedDecomposition:
     """Fixed lattice of a signed permutation as disjoint-support {-1,0,1} vectors."""
-    return cycle_decomposition(signed_cycles(B))
+    return cycle_decomposition(code_cycles(checked_code(B)))
 
 
 def cycle_decomposition(cycles) -> FixedDecomposition:

@@ -2,7 +2,7 @@
 
 For a signed permutation matrix B acting on R^n, the trace of the induced
 action on p-forms is the coefficient of t^p in det(Id + t*B).  That
-determinant is a product over the cycles of B (intlat.signed_cycles): a cycle
+determinant is a product over the cycles of B (intlat.code_cycles): a cycle
 of length k whose signs multiply to eps contributes 1 - eps*(-t)^k.  When B is
 diagonal with j entries equal to -1, every cycle has length 1 and the trace is
 the Krawtchouk value K_p^n(j), the t^p coefficient of (1 + t)^(n-j) (1 - t)^j.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .intlat import IntMatrix, dim, signed_cycles
+from . import intlat
 
 
 def krawtchouk(n: int, p: int, j: int) -> int:
@@ -21,9 +21,9 @@ def krawtchouk(n: int, p: int, j: int) -> int:
     return sum((-1) ** t * comb(j, t) * comb(n - j, p - t) for t in range(p + 1))
 
 
-def charpoly_coeffs(B: IntMatrix) -> tuple[int, ...]:
+def charpoly_coeffs(B: intlat.IntMatrix) -> tuple[int, ...]:
     """Coefficients (c_0, ..., c_n) of det(Id + t*B), so c_p = tr_p(B)."""
-    return cycle_charpoly(signed_cycles(B))
+    return cycle_charpoly(intlat.code_cycles(intlat.checked_code(B)))
 
 
 def cycle_charpoly(cycles) -> tuple[int, ...]:
@@ -38,9 +38,9 @@ def cycle_charpoly(cycles) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def trace_p(B: IntMatrix, p: int) -> int:
+def trace_p(B: intlat.IntMatrix, p: int) -> int:
     """Trace of B acting on p-forms."""
-    n = dim(B)
+    n = len(B)
     if not 0 <= p <= n:
         raise ValueError("form degree out of range")
     return charpoly_coeffs(B)[p]

@@ -18,7 +18,7 @@ the latter acts by
     lambda -> B_j lambda + (B_j - Id) b_i + B_j (B_i^{-1} - Id) b_j.
 
 The quotient Z^4 / (B^{-1} - Id) Z^4 splits along the signed cycles of B
-(intlat.signed_cycles) as Z^{#(+1 cycles)} x (Z/2)^{#(-1 cycles)}: a cycle
+(intlat.code_cycles) as Z^{#(+1 cycles)} x (Z/2)^{#(-1 cycles)}: a cycle
 with eps = +1 contributes the integer lambda.u_j = k_j, and a cycle with
 eps = -1 the sum of lambda over its axes mod 2.  A state is one integer per
 cycle, and the conjugacy classes of a coset with a given length are the orbits
@@ -39,10 +39,11 @@ from typing import NamedTuple
 
 from . import intlat
 from .group import BieberbachGroup, GroupError, is_abelian_holonomy
-from .intlat import IntMatrix, IntVector
+from .intlat import IntMatrix, IntVector, code_compose, code_product
 
 RatVec = tuple[Fraction, ...]
 Cycles = tuple[tuple[tuple[tuple[int, int], ...], int], ...]
+_AXES = intlat.identity(4)  # the unit vectors e_a
 
 
 class LengthError(ValueError):
@@ -53,6 +54,7 @@ class CosetGeometry(NamedTuple):
     """Precomputed data for one coset B L_{b + Z^4}."""
 
     B: IntMatrix
+    code: IntVector                   # intlat.signed_code of B
     b: RatVec
     units: tuple[IntVector, ...]      # disjoint-support fixed components u_j
     ds: tuple[int, ...]               # component norms d_j
@@ -62,14 +64,15 @@ class CosetGeometry(NamedTuple):
 
 def coset_geometry(B: IntMatrix, b) -> CosetGeometry:
     b = tuple(Fraction(x) for x in b)
-    cycles = tuple(intlat.signed_cycles(B))
+    code = intlat.checked_code(B)
+    cycles = tuple(intlat.code_cycles(code))
     comps = intlat.cycle_decomposition(cycles).components
     if not comps:
         raise LengthError("element with empty fixed lattice is not torsion-free")
     units = tuple(c.vector for c in comps)
     ds = tuple(c.d for c in comps)
     s = tuple(sum(bi * ui for bi, ui in zip(b, u)) for u in units)
-    return CosetGeometry(B, b, units, ds, s, cycles)
+    return CosetGeometry(B, code, b, units, ds, s, cycles)
 
 
 # -- squared length values -------------------------------------------------
@@ -128,31 +131,26 @@ def _states(geo: CosetGeometry, ks: tuple[int, ...]):
     return product(*[(next(k_iter),) if eps == 1 else (0, 1) for _, eps in geo.cycles])
 
 
-def _conjugation_maps(geo: CosetGeometry, reps: list[tuple[IntMatrix, RatVec]]):
+def _conjugation_maps(geo: CosetGeometry, reps: list[CosetGeometry]):
     """Affine maps x -> shift + sum_c x_c e(c) on states implementing rep conjugation.
 
-    Conjugation by (B_j, b_j) maps lambda to B_j lambda + v, for the integral
-    v = B_j (b + B^T b_j - b_j) - b (computed on translations scaled by D).
-    shift is the state of v and e(c), one signed unit stored as (index, sign),
-    the state of B_j applied to the first axis of cycle c.
+    The rep g_j = (B_j, b_j) gives g_j g = (B_j B, B^T b_j + b), so conjugation
+    maps lambda to B_j lambda + v for the integral v = B_j (B^T b_j + b - b_j) - b
+    (on codes and translations scaled by D).  shift is the state of v and
+    e(c), one signed unit stored as (index, sign), the state of B_j e_a for
+    the first axis a of cycle c.
     """
-    code = intlat.signed_code(geo.B)
     maps = []
-    for Bj, bj in reps:
-        D = lcm(*(x.denominator for x in (*geo.b, *bj)))
-        b, t = ([x.numerator * (D // x.denominator) for x in v] for v in (geo.b, bj))
-        u = [x - y for x, y in zip(b, t)]
-        for x, c in zip(t, code):
-            # each entry s = B[i][j] adds s * t_i to coordinate j of B^T t
-            u[abs(c) - 1] += x if c > 0 else -x
-        # B_j u - b, with the entry s = B_j[i][j] giving (B_j u)_i = s * u_j
-        v = [(u[c - 1] if c > 0 else -u[-c - 1]) - y
-             for c, y in zip(intlat.signed_code(Bj), b)]
+    for rep in reps:
+        D = lcm(*(x.denominator for x in (*geo.b, *rep.b)))
+        b, t = ([x.numerator * (D // x.denominator) for x in v] for v in (geo.b, rep.b))
+        _, u = code_compose(rep.code, t, geo.code, [x - y for x, y in zip(b, t)])
+        v = [x - y for x, y in zip(code_product(rep.code, u), b)]
         if any(x % D for x in v):
             raise LengthError("conjugation by a representative is not integral")
         moves = []
         for orbit, _ in geo.cycles:
-            image = _canonical_state(geo.cycles, [row[orbit[0][0]] for row in Bj])
+            image = _canonical_state(geo.cycles, code_product(rep.code, _AXES[orbit[0][0]]))
             moves.append(next((i, y) for i, y in enumerate(image) if y))
         maps.append((_canonical_state(geo.cycles, [x // D for x in v]), moves))
     return maps
@@ -195,10 +193,11 @@ def _class_counts(G: BieberbachGroup, max2,
         reps = [(g.B, g.b) for g in G.nontrivial()]
     max2 = Fraction(max2)
     counts: dict[Fraction, int] = {}
-    # every rep matrix is checked before any map is built from it
-    for geo in [coset_geometry(B, b) for B, b in [(intlat.identity(4), (0,) * 4), *reps]]:
+    # every rep matrix is checked once, before any map is built from it
+    geos = [coset_geometry(B, b) for B, b in [(intlat.identity(4), (0,) * 4), *reps]]
+    for geo in geos:
         # built before the enumeration, so a refusal does not depend on max2
-        maps = _conjugation_maps(geo, reps)
+        maps = _conjugation_maps(geo, geos[1:])
         for l2, sols in _solutions(geo, max2).items():
             if exact and l2 != max2:
                 continue

@@ -129,9 +129,6 @@ class QuadNumber:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
 
-    def is_rational(self) -> bool:
-        return self.b == 0 and self.c == 0 and self.d == 0
-
     def __bool__(self):
         return not self.is_zero()
 

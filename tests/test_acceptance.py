@@ -12,7 +12,7 @@ import pytest
 
 from flat4spec.classify import classify_all, id_sort_key
 from flat4spec.group import sunada_tuple
-from flat4spec.intlat import det, identity, mat_sub
+from flat4spec.intlat import identity
 from flat4spec.kraw import krawtchouk, trace_p
 from flat4spec.lengths import length_multiplicity
 from flat4spec.numspec import e_term, heat_trace_numeric, multiplicity
@@ -21,6 +21,7 @@ from flat4spec.theta import HeatTracePoly, heat_trace_poly, poly_equal
 from golden_classes import (BRACKETL_EXCLUDED, BRACKETL_PAIRS, L_SETS, P0_SETS,
                             P1_SETS, P2_SETS, as_sorted_lists)
 from golden_heat import ALIASES, golden
+from linalg import det, mat_sub
 
 F = Fraction
 

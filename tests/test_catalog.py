@@ -125,7 +125,7 @@ def test_one_signed_permutation_check_per_matrix(monkeypatch):
         calls.append(M)
         return check(M)
 
-    # the one-pass check; is_signed_permutation and signed_cycles call it too
+    # the one-pass check; checked_code calls it too
     monkeypatch.setattr(intlat, "signed_code", counting)
     cat = load_catalog()
     elements = sum(e.group.order for e in cat)

@@ -13,9 +13,10 @@ from flat4spec.group import (MAX_HOLONOMY_ORDER, AffineIsometry, GroupError,
                              betti, build_group, is_abelian_holonomy,
                              is_diagonal_type, is_orientable, sunada_numbers,
                              sunada_tuple)
-from flat4spec.intlat import (det, identity, kernel_basis, mat_mul, mat_sub,
-                              mat_vec, transpose)
+from flat4spec.intlat import identity
 from flat4spec.theta import heat_trace_poly
+
+from linalg import det, kernel_basis, mat_mul, mat_sub, mat_vec, transpose
 
 ALL_SIGNED_PERMS = [
     tuple(tuple(signs[i] if perm[i] == j else 0 for j in range(4)) for i in range(4))
@@ -116,6 +117,22 @@ def test_product_matches_generic_formula():
             a, b = translation(), translation()
             got = AffineIsometry.make(A, a) * AffineIsometry.make(B, b)
             assert (got.B, got.b) == _generic_product((A, a), (B, b)), (A, a, B, b)
+
+
+def test_code_arithmetic_matches_matrix_oracle(catalog):
+    # products, inverses and the action on points run on signed-permutation
+    # codes; check them on every pair of holonomy elements of every group
+    pairs = 0
+    for entry in catalog:
+        for g in entry.group.holonomy:
+            inv = g.inverse()
+            assert (inv.B, inv.b) == (transpose(g.B), tuple(-x % 1 for x in mat_vec(g.B, g.b)))
+            for h in entry.group.holonomy:
+                got = g * h
+                assert (got.B, got.b) == _generic_product((g.B, g.b), (h.B, h.b)), (g, h)
+                assert g.apply(h.b) == mat_vec(g.B, tuple(x + y for x, y in zip(h.b, g.b)))
+                pairs += 1
+    assert pairs == sum(entry.group.order ** 2 for entry in catalog)
 
 
 def _closure_oracle(generators):
@@ -268,8 +285,8 @@ def test_one_cycle_walk_per_element(catalog, monkeypatch):
         calls[code] += 1
         return walk(code)
 
-    # the walk behind every signed-cycle invariant; intlat.signed_cycles (and
-    # so kraw.charpoly_coeffs) calls it too, so a second walk anywhere is counted
+    # the walk behind every signed-cycle invariant; intlat.decompose_fixed and
+    # kraw.charpoly_coeffs call it too, so a second walk anywhere is counted
     monkeypatch.setattr(intlat, "code_cycles", counting)
     for gid in ("2", "42", "60"):
         # a fresh build, so no element has walked its cycles yet

@@ -3,9 +3,10 @@ from math import comb
 
 import pytest
 
-from flat4spec.intlat import identity, mat_sub, det
+from flat4spec.intlat import identity
 from flat4spec.kraw import charpoly_coeffs, krawtchouk, trace_p
 
+from linalg import det, mat_sub
 from test_intlat import SIGNED_PERMS_4
 
 # the 25 values K_p^4(j) for p, j in 0..4, rows indexed by j

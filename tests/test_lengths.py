@@ -7,10 +7,11 @@ import pytest
 
 from flat4spec import intlat, lengths
 from flat4spec.group import GroupError, is_abelian_holonomy
-from flat4spec.intlat import (identity, mat_sub, mat_vec, signed_cycles,
-                              smith_normal_form, transpose)
+from flat4spec.intlat import code_cycles, identity, signed_code, smith_normal_form
 from flat4spec.lengths import (LengthError, _canonical_state, coset_geometry,
                                length_multiplicity, length_set, length_spectrum)
+
+from linalg import mat_sub, mat_vec, transpose
 
 F = Fraction
 
@@ -169,7 +170,7 @@ def test_cycle_state_matches_smith_coordinates():
             B = tuple(tuple(signs[i] if perm[i] == j else 0 for j in range(4))
                       for i in range(4))
             U, D, _ = smith_normal_form(mat_sub(transpose(B), identity(4)))
-            cycles = signed_cycles(B)
+            cycles = code_cycles(signed_code(B))
             pairs = set()
             for lam in product(range(-2, 3), repeat=4):
                 coords = tuple(x % D[i][i] if D[i][i] else x
@@ -202,6 +203,23 @@ def test_one_cycle_walk_per_coset(catalog, monkeypatch):
     calls.clear()
     length_spectrum(G, 3)
     assert calls == want
+
+
+@pytest.mark.parametrize("gid, order", [("2", 2), ("25", 4), ("33", 8)])
+def test_one_signed_permutation_check_per_coset(catalog, monkeypatch, gid, order):
+    calls = []
+    check = intlat.signed_code
+
+    def counting(M):
+        calls.append(M)
+        return check(M)
+
+    # each rep matrix, and the identity coset's, is checked once; the
+    # conjugation maps reuse the codes
+    monkeypatch.setattr(intlat, "signed_code", counting)
+    G = catalog.group(gid)
+    length_spectrum(G, 4)
+    assert len(calls) == G.order == order
 
 
 # -- Fraction oracle ---------------------------------------------------------

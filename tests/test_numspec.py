@@ -7,10 +7,12 @@ import pytest
 
 from flat4spec import group, numspec
 from flat4spec.group import AffineIsometry, BieberbachGroup, build_group
-from flat4spec.intlat import identity, mat_vec, signed_cycles
+from flat4spec.intlat import code_cycles, identity, signed_code
 from flat4spec.kraw import cycle_charpoly
 from flat4spec.numspec import (e_term, heat_trace_numeric, lattice_shell,
                                multiplicities, multiplicity)
+
+from linalg import mat_vec
 
 # representation numbers r4(mu) of four squares, mu = 0..10
 R4 = (1, 8, 24, 32, 24, 48, 96, 64, 24, 104, 144)
@@ -204,7 +206,7 @@ def test_traces_computed_once_per_element(catalog, monkeypatch):
         for p in range(5):
             for mu in range(6):
                 multiplicity(G, p, mu)
-        assert sorted(calls) == sorted(tuple(signed_cycles(g.B)) for g in G.holonomy), gid
+        assert sorted(calls) == sorted(tuple(code_cycles(signed_code(g.B))) for g in G.holonomy), gid
         assert set(calls.values()) == {1}, gid
         calls.clear()
 
