@@ -131,7 +131,7 @@ def load_catalog(path: str | None = None) -> Catalog:
         raise CatalogError(f"cannot read catalog {src}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CatalogError(f"catalog {src} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "entries" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
         raise CatalogError(f"catalog {src} has no 'entries' list")
 
     entries = []
@@ -139,6 +139,9 @@ def load_catalog(path: str | None = None) -> Catalog:
     seen: set[str] = set()
     for i, raw in enumerate(data["entries"]):
         gid = raw.get("id", f"<entry {i}>") if isinstance(raw, dict) else f"<entry {i}>"
+        if not isinstance(gid, str):
+            bad[f"<entry {i}>"] = f"id must be a string, not {gid!r}"
+            continue
         if gid in seen:
             bad[gid] = "duplicate id"
             continue

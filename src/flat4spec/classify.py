@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .group import BieberbachGroup, GroupError, sunada_tuple
 from .lengths import length_set, length_spectrum
-from .theta import heat_trace_poly, poly_equal
+from .theta import heat_trace_poly, poly_equal, trace_sums
 
 MODES = ("p0", "p1", "p2", "p3", "p4", "all-p", "sunada", "L", "bracketL")
 
@@ -99,12 +99,15 @@ def classify_all(groups: list[BieberbachGroup], mode: str, max2=3) -> Classifica
     params: dict = {}
     errors: dict[str, str] = {}
 
+    # The heat-trace modes compare integer trace sums per theta monomial: a
+    # monomial fixes its coefficient's factor sqrt(D)/D, so at equal order the
+    # sums are equal exactly when the heat traces are (theta.trace_sums).
     if mode == "sunada":
         def signature(G):
             return ("sunada", G.order, sunada_tuple(G))
     elif mode == "L":
         def signature(G):
-            return ("L", G.order, heat_trace_poly(G, 0).support())
+            return ("L", G.order, frozenset(trace_sums(G, 0)))
     elif mode == "bracketL":
         params["max_squared_length"] = str(Fraction(max2))
 
@@ -112,14 +115,13 @@ def classify_all(groups: list[BieberbachGroup], mode: str, max2=3) -> Classifica
             return ("bracketL", G.order, bracketL_signature(G, max2))
     elif mode == "all-p":
         def signature(G):
-            return ("all-p", G.order,
-                    tuple(heat_trace_poly(G, p).coeffs for p in range(5)))
+            return ("all-p", G.order, frozenset(G.trace_table.items()))
     else:
         p = int(mode[1])
         params["p"] = p
 
         def signature(G):
-            return ("p", p, G.order, heat_trace_poly(G, p).coeffs)
+            return ("p", p, G.order, frozenset(trace_sums(G, p).items()))
 
     buckets: dict = {}
     for G in groups:

@@ -12,34 +12,41 @@ products, inverses and the action on points run on it through the one
 product rule, intlat.code_compose.  `build_group` closes the generators on
 codes and on translations scaled by D, the lcm of their denominators, reduced
 mod D.  Only the final holonomy elements become `AffineIsometry` objects,
-with translations from one table of the fractions k/D in use.  It refuses
-generators that are not 4x4 with 4 translation entries.
+built from the codes the closure holds and from one table of the fractions
+k/D in use.  It refuses generators that are not 4x4 with 4 translation
+entries.
 
-Each element checks its matrix once, on construction, then computes its
-invariants once, from one walk over the cycles of its code
-(intlat.code_cycles), and keeps them: the p-form traces, the fixed
-decomposition, the raw and folded component offsets of b and the
-p-independent theta monomial.  Torsion-freeness, Betti numbers,
-orientability (det B = tr_4 B) and the heat traces all read these values.
+An element built from a matrix checks it once, on construction; products,
+inverses and `build_group` construct elements from codes they already know,
+without a second check.  The matrix, the p-form traces and the fixed
+decomposition of a code come from one walk over its cycles
+(intlat.code_cycles), computed once per code by `_code_invariants`: a pure
+function of the code, memoised for all |B4| = 384 signed permutations.  Each
+element keeps them, with the raw and folded component offsets of b and the
+p-independent theta monomial.  Torsion-freeness, Betti numbers and
+orientability (det B = tr_4 B) read these values.  A group keeps one
+trace-sum table, {theta monomial: (sum tr_0, ..., sum tr_4)} over its
+holonomy, built in one pass; heat traces and classification read it.
 
 `AffineIsometry` and `BieberbachGroup` are hand-written read-only classes:
-`__init__` sets the fields through object.__setattr__, assignment and
-deletion raise AttributeError, and equality and hash read only the fields
-(B, b) or (name, generators, holonomy).  The cached values above, the code
-and a group's cached hash are kept in the instance dict, outside the
-compared and hashed fields; cached_property writes that dict directly.
+`__init__` (and `AffineIsometry._from_code`) set the fields through
+object.__setattr__, assignment and deletion raise AttributeError, and
+equality and hash read only the fields (B, b) or (name, generators,
+holonomy).  The cached values above, the code, a group's trace-sum table and
+its cached hash are kept in the instance dict, outside the compared and
+hashed fields; cached_property writes that dict directly.
 """
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Sequence
 
 from . import intlat
-from .intlat import (FixedDecomposition, IntMatrix, RatVector, code_compose,
-                     code_inverse, code_product)
+from .intlat import (FixedDecomposition, IntMatrix, IntVector, RatVector,
+                     code_compose, code_inverse, code_product)
 from .kraw import cycle_charpoly
 
 MAX_HOLONOMY_ORDER = 48
@@ -58,6 +65,19 @@ def _norm_vec(v: Sequence) -> RatVector:
         floor = f.numerator // f.denominator
         out.append(f - floor if floor else f)
     return tuple(out)
+
+
+@lru_cache(maxsize=384)  # |B4|: every 4x4 signed permutation fits
+def _code_invariants(code: IntVector) -> tuple[IntMatrix, tuple[tuple[int, ...], FixedDecomposition]]:
+    """(B, (p-form traces, fixed decomposition)) of the signed permutation with this code.
+
+    One walk over the cycles of the code.  The value depends on the code
+    alone and is immutable, so sharing it between elements and groups
+    changes no result.
+    """
+    cycles = intlat.code_cycles(code)
+    return (intlat.code_matrix(code),
+            (cycle_charpoly(cycles), intlat.cycle_decomposition(cycles)))
 
 
 class _Frozen:
@@ -82,6 +102,17 @@ class AffineIsometry(_Frozen):
         # kept in the instance dict, outside the compared and hashed fields
         object.__setattr__(self, "_code", code)
 
+    @classmethod
+    def _from_code(cls, code: IntVector, b: RatVector) -> "AffineIsometry":
+        """The element (B, b) for a valid code of B and b already in [0, 1)^4."""
+        self = object.__new__(cls)
+        B, invariants = _code_invariants(code)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_code", code)
+        object.__setattr__(self, "_cycle_invariants", invariants)
+        return self
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -103,12 +134,12 @@ class AffineIsometry(_Frozen):
 
     def __mul__(self, other: "AffineIsometry") -> "AffineIsometry":
         M, t = code_compose(self._code, self.b, other._code, other.b)
-        return AffineIsometry(intlat.code_matrix(M), t)
+        return AffineIsometry._from_code(M, _norm_vec(t))
 
     def inverse(self) -> "AffineIsometry":
         # (B^T, -B b)
-        newb = tuple(-x for x in code_product(self._code, self.b))
-        return AffineIsometry(intlat.code_matrix(code_inverse(self._code)), newb)
+        newb = _norm_vec([-x for x in code_product(self._code, self.b)])
+        return AffineIsometry._from_code(code_inverse(self._code), newb)
 
     def is_identity_matrix(self) -> bool:
         return self._code == _IDENTITY_CODE
@@ -118,13 +149,12 @@ class AffineIsometry(_Frozen):
         return code_product(self._code, shifted)
 
     # -- invariants ----------------------------------------------------
-    # Computed once per element, from one walk over the signed cycles of B,
-    # and kept in the instance dict (not in the compared and hashed fields).
+    # Computed once per code (_code_invariants) and kept in the instance
+    # dict (not in the compared and hashed fields).
 
     @cached_property
     def _cycle_invariants(self) -> tuple[tuple[int, ...], FixedDecomposition]:
-        cycles = intlat.code_cycles(self._code)
-        return cycle_charpoly(cycles), intlat.cycle_decomposition(cycles)
+        return _code_invariants(self._code)[1]
 
     @cached_property
     def _raw_offsets(self) -> tuple[Fraction, ...]:
@@ -206,6 +236,20 @@ class BieberbachGroup(_Frozen):
     def order(self) -> int:
         return len(self.holonomy)
 
+    @cached_property
+    def trace_table(self) -> dict[tuple, tuple[int, ...]]:
+        """{theta monomial m: (c_{0,m}, ..., c_{4,m})}, built in one pass; read only.
+
+        c_{p,m} is the sum of tr_p(B) over the holonomy elements with theta
+        monomial m.  Every c_{0,m} counts elements, so it is positive.
+        """
+        table: dict[tuple, tuple[int, ...]] = {}
+        for g in self.holonomy:
+            mono, tr = g.theta_monomial(), g.traces()
+            cur = table.get(mono)
+            table[mono] = tr if cur is None else tuple([x + y for x, y in zip(cur, tr)])
+        return table
+
     def nontrivial(self) -> tuple[AffineIsometry, ...]:
         return self.holonomy[1:]
 
@@ -246,10 +290,10 @@ def build_group(generators: Sequence[AffineIsometry], name: str = "",
     # one Fraction per residue in use, not per k < D: D comes from outside
     fractions = {x: Fraction(x, D) for t in elements.values() for x in t}
     # identity first, then sorted by matrix (each matrix occurs once)
-    holonomy = [AffineIsometry.identity(4)]
-    holonomy += [AffineIsometry(M, tuple(fractions[x] for x in t)) for M, t in
-                 sorted((intlat.code_matrix(M), t) for M, t in elements.items()
-                        if M != _IDENTITY_CODE)]
+    codes = sorted(elements, key=lambda M: _code_invariants(M)[0])
+    codes.remove(_IDENTITY_CODE)
+    holonomy = [AffineIsometry._from_code(M, tuple([fractions[x] for x in elements[M]]))
+                for M in [_IDENTITY_CODE, *codes]]
     for g in holonomy[1:]:
         if not g.is_fixed_point_free():
             raise GroupError(f"not torsion-free: element with matrix {g.B} fixes a point")

@@ -14,6 +14,12 @@ representative gamma = B L_b contributes
 where (d_i, r_i) come from the component decomposition of the fixed lattice
 of B and the offsets of b.  Polynomials keep the holonomy order |F| as an
 explicit scale, so stored coefficients are |F| times the true ones.
+
+A monomial m fixes the product D of its dimensions, so its coefficient is
+sqrt(D)/D times the integer trace sum c_{p,m} over the elements with that
+monomial.  The group keeps these sums in one table (BieberbachGroup.trace_table,
+built once per group); `trace_sums` reads it, and at equal order two heat
+traces are equal exactly when their nonzero sums are.
 """
 from __future__ import annotations
 
@@ -142,17 +148,11 @@ def theta_value(d: int, r, s: float, terms: int = 40) -> float:
 def trace_sums(G: BieberbachGroup, p: int) -> dict[Monomial, int]:
     """c_{p,m}: the sum of tr_p(B) over the holonomy elements with theta monomial m.
 
-    Elements with tr_p(B) = 0 are skipped, but a sum may still cancel to 0.
+    Read from the group's trace-sum table; monomials whose sum is 0 are dropped.
     """
     if not 0 <= p <= 4:
         raise ValueError("form degree out of range")
-    sums: dict[Monomial, int] = {}
-    for g in G.holonomy:
-        tr = g.traces()[p]
-        if tr != 0:
-            mono = g.theta_monomial()
-            sums[mono] = sums.get(mono, 0) + tr
-    return sums
+    return {mono: sums[p] for mono, sums in G.trace_table.items() if sums[p]}
 
 
 def heat_trace_poly(G: BieberbachGroup, p: int) -> HeatTracePoly:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from flat4spec import intlat
+from flat4spec import cli, group, intlat
 from flat4spec.catalog import (ENV_VAR, EXPECTED_COUNT, CatalogError,
                                catalog_path, load_catalog)
 
@@ -84,6 +84,23 @@ def test_duplicate_ids_are_reported(tmp_path):
         load_catalog(_write(tmp_path, data))
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"entries": 5}, "has no 'entries' list"),
+    ({"entries": None}, "has no 'entries' list"),
+    ({"entries": [{"id": ["x"]}]}, "<entry 0>: id must be a string, not ['x']"),
+    ({"entries": [{"id": 5}]}, "<entry 0>: id must be a string, not 5"),
+])
+def test_malformed_entries_are_reported(tmp_path, capsys, data, message):
+    path = _write(tmp_path, data)
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(path)
+    assert message in str(exc.value)
+    # the CLI reports it on one line, without a traceback
+    assert cli.main(["--catalog", path, "validate"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {exc.value}\n")
+
+
 def test_declared_count_mismatch(tmp_path):
     data = _base_data()
     data["count"] = 78
@@ -132,6 +149,24 @@ def test_one_signed_permutation_check_per_matrix(monkeypatch):
     generators = sum(len(e.group.generators) for e in cat)
     assert (elements, generators) == (359, 145)
     assert len(calls) <= elements + generators
+
+
+def test_one_cycle_walk_per_distinct_code(monkeypatch):
+    calls = []
+    walk = intlat.code_cycles
+
+    def counting(code):
+        calls.append(code)
+        return walk(code)
+
+    # elements that share a code share its matrix, traces and decomposition:
+    # from a cleared memo, validating the catalog walks each code once
+    monkeypatch.setattr(intlat, "code_cycles", counting)
+    group._code_invariants.cache_clear()
+    cat = load_catalog()
+    codes = {intlat.signed_code(g.B) for e in cat for g in e.group.holonomy}
+    assert sorted(calls) == sorted(codes)
+    assert (len(calls), sum(e.group.order for e in cat)) == (38, 359)
 
 
 @pytest.mark.parametrize("field, value, shape", [

@@ -8,6 +8,7 @@ from flat4spec.classify import (MODES, classify_all, id_sort_key,
                                 p_isospectral, sunada_isospectral,
                                 L_isospectral, bracketL_isospectral)
 from flat4spec.group import GroupError
+from flat4spec.theta import heat_trace_poly, poly_equal
 
 from golden_classes import (BRACKETL_EXCLUDED, BRACKETL_PAIRS, L_SETS, P0_SETS,
                             P1_SETS, P2_SETS, as_sorted_lists)
@@ -55,6 +56,44 @@ def test_all_p_equals_p0(catalog):
     groups = catalog.groups()
     assert classify_all(groups, "all-p").classes == \
         classify_all(groups, "p0").classes
+
+
+def _pairwise_classes(groups, same):
+    """Classes of an equivalence `same`, built by comparing groups of equal order."""
+    classes = []
+    for G in groups:
+        for cls in classes:
+            if cls[0].order == G.order and same(cls[0], G):
+                cls.append(G)
+                break
+        else:
+            classes.append([G])
+    return sorted(sorted(G.name for G in cls) for cls in classes)
+
+
+@pytest.mark.parametrize("mode", ["p0", "p1", "p2", "p3", "p4", "all-p", "L"])
+def test_integer_signatures_match_heat_trace_polynomials(catalog, mode):
+    # classify_all compares integer trace sums; the oracle compares the
+    # exact heat-trace polynomials with poly_equal (or their supports for L)
+    groups = catalog.groups()
+    degrees = range(5) if mode == "all-p" else [0] if mode == "L" else [int(mode[1])]
+    polys = {(G, p): heat_trace_poly(G, p) for G in groups for p in degrees}
+    if mode == "L":
+        def same(a, b):
+            return polys[a, 0].support() == polys[b, 0].support()
+    else:
+        def same(a, b):
+            return all(poly_equal(polys[a, p], polys[b, p]) for p in degrees)
+    report = classify_all(groups, mode)
+    assert report.errors == {}
+    assert sorted(sorted(cls) for cls in report.classes) == _pairwise_classes(groups, same)
+    if mode in ("p0", "p1", "p2", "p3", "p4"):
+        class_of = {gid: k for k, cls in enumerate(report.classes) for gid in cls}
+        for i, a in enumerate(groups):
+            for b in groups[i + 1:]:
+                if a.order == b.order:
+                    assert p_isospectral(a, b, int(mode[1])) == \
+                        (class_of[a.name] == class_of[b.name]), (a.name, b.name)
 
 
 def test_L_classes(catalog):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flat4spec import intlat, kraw
+from flat4spec import group, intlat, kraw
 from flat4spec.group import (MAX_HOLONOMY_ORDER, AffineIsometry, GroupError,
                              betti, build_group, is_abelian_holonomy,
                              is_diagonal_type, is_orientable, sunada_numbers,
@@ -133,6 +133,27 @@ def test_code_arithmetic_matches_matrix_oracle(catalog):
                 assert g.apply(h.b) == mat_vec(g.B, tuple(x + y for x, y in zip(h.b, g.b)))
                 pairs += 1
     assert pairs == sum(entry.group.order ** 2 for entry in catalog)
+
+
+def test_products_and_inverses_make_no_matrix_check(catalog, monkeypatch):
+    # their codes come from the product rule, so no matrix is checked again
+    calls = []
+    check = intlat.signed_code
+
+    def counting(M):
+        calls.append(M)
+        return check(M)
+
+    monkeypatch.setattr(intlat, "signed_code", counting)
+    products = inverses = 0
+    for entry in catalog:
+        for g in entry.group.holonomy:
+            g.inverse()
+            inverses += 1
+            for h in entry.group.holonomy:
+                g * h
+                products += 1
+    assert (products, inverses, len(calls)) == (2011, 359, 0)
 
 
 def _closure_oracle(generators):
@@ -288,8 +309,11 @@ def test_one_cycle_walk_per_element(catalog, monkeypatch):
     # the walk behind every signed-cycle invariant; intlat.decompose_fixed and
     # kraw.charpoly_coeffs call it too, so a second walk anywhere is counted
     monkeypatch.setattr(intlat, "code_cycles", counting)
+    # from a cleared memo, fresh builds of three groups walk each distinct
+    # code once between them; the identity, at least, is shared
+    group._code_invariants.cache_clear()
+    codes, uncached = set(), Counter()
     for gid in ("2", "42", "60"):
-        # a fresh build, so no element has walked its cycles yet
         G = build_group(catalog.group(gid).generators, name=f"fresh {gid}")
         for p in range(5):
             betti(G, p)
@@ -298,10 +322,10 @@ def test_one_cycle_walk_per_element(catalog, monkeypatch):
         is_orientable(G)
         for g in G.holonomy:
             g.translation_offsets()
-        want = Counter(intlat.signed_code(g.B) for g in G.holonomy)
-        want[intlat.signed_code(G.holonomy[-1].B)] += 5
-        assert calls == want, gid
-        calls.clear()
+        codes |= {intlat.signed_code(g.B) for g in G.holonomy}
+        uncached[intlat.signed_code(G.holonomy[-1].B)] += 5
+    assert calls == Counter(codes) + uncached
+    assert len(codes) < sum(catalog.group(gid).order for gid in ("2", "42", "60"))
 
 
 def test_translation_consistency_flags(catalog):
