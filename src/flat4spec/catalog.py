@@ -133,6 +133,9 @@ def load_catalog(path: str | None = None) -> Catalog:
         raise CatalogError(f"catalog {src} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
         raise CatalogError(f"catalog {src} has no 'entries' list")
+    declared = data.get("count")
+    if declared is not None and type(declared) is not int:  # bool is an int subclass
+        raise CatalogError(f"catalog count must be an integer, not {declared!r}")
 
     entries = []
     bad: dict[str, str] = {}
@@ -154,7 +157,6 @@ def load_catalog(path: str | None = None) -> Catalog:
         listing = "; ".join(f"{gid}: {msg}" for gid, msg in sorted(bad.items()))
         raise CatalogError(f"invalid catalog entries: {listing}")
 
-    declared = data.get("count")
     if declared is not None and declared != len(entries):
         raise CatalogError(
             f"catalog declares {declared} entries but contains {len(entries)}"

@@ -1,10 +1,10 @@
 """Isospectrality comparators and batch classification.
 
 Comparisons are only meaningful (and only performed) between groups with the
-same holonomy order; the batch driver buckets by order first.  Comparator
-failures for a single group (nondiagonal type for the Sunada comparator,
-nonabelian holonomy for class-length multiplicities) are reported per entry
-instead of aborting the run.
+same holonomy order; the batch driver buckets by order first.  bracketL counts
+classes by Burnside over each holonomy class's centralizer (lengths), for every
+holonomy group.  Comparator failures for one group (nondiagonal type for sunada,
+non-closing translations for class counts) are reported per entry, not raised.
 """
 from __future__ import annotations
 

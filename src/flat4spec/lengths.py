@@ -7,24 +7,22 @@ element gamma L_lambda with gamma = B L_b has squared length
 
 where (u_j, d_j) are the fixed-lattice components of B, s_j = b.u_j, and
 k_j = lambda.u_j ranges over Z.  The pure translations form the identity coset
-B = Id, b = 0.  Two elements of the same coset are conjugate iff they are
-related by lattice conjugation
+B = Id, b = 0.  The lattice classes of a coset, its elements up to
 
     lambda ~ lambda + (B^{-1} - Id) mu,   mu in Z^4,
 
-together with conjugation by the coset representatives; for abelian holonomy
-the latter acts by
-
-    lambda -> B_j lambda + (B_j - Id) b_i + B_j (B_i^{-1} - Id) b_j.
+are permuted by F = Gamma/Z^4 acting by conjugation.  So the Gamma-classes in
+the cosets of one holonomy conjugacy class are the orbits of the centralizer
+Z_F(B) on the lattice classes of its first coset B.
 
 The quotient Z^4 / (B^{-1} - Id) Z^4 splits along the signed cycles of B
 (intlat.code_cycles) as Z^{#(+1 cycles)} x (Z/2)^{#(-1 cycles)}: a cycle
 with eps = +1 contributes the integer lambda.u_j = k_j, and a cycle with
 eps = -1 the sum of lambda over its axes mod 2.  A state is one integer per
-cycle, and the conjugacy classes of a coset with a given length are the orbits
-of its states under the maps above, each an affine map on states built once
-per coset.  Nonabelian holonomy is not supported here (the conjugation action
-no longer preserves single cosets).
+cycle, and each element of Z_F(B) acts on states by an affine map built once
+per coset.  By Burnside's lemma the classes of a given length are the states
+of that length each element fixes, averaged over Z_F(B); abelian holonomy is
+the case Z_F(B) = F.
 
 Everything runs on ints: squared lengths times W D^2 (D the common
 denominator of the s_j, W the lcm of the d_j) and translations times their
@@ -38,8 +36,8 @@ from math import isqrt, lcm
 from typing import NamedTuple
 
 from . import intlat
-from .group import BieberbachGroup, GroupError, is_abelian_holonomy
-from .intlat import IntMatrix, IntVector, code_compose, code_product
+from .group import BieberbachGroup
+from .intlat import IntMatrix, IntVector, code_compose, code_inverse, code_product
 
 RatVec = tuple[Fraction, ...]
 Cycles = tuple[tuple[tuple[tuple[int, int], ...], int], ...]
@@ -132,16 +130,16 @@ def _states(geo: CosetGeometry, ks: tuple[int, ...]):
 
 
 def _conjugation_maps(geo: CosetGeometry, reps: list[CosetGeometry]):
-    """Affine maps x -> shift + sum_c x_c e(c) on states implementing rep conjugation.
+    """Affine maps x -> shift + sum_c x_c e(c) on states, one per rep commuting with B.
 
-    The rep g_j = (B_j, b_j) gives g_j g = (B_j B, B^T b_j + b), so conjugation
-    maps lambda to B_j lambda + v for the integral v = B_j (B^T b_j + b - b_j) - b
-    (on codes and translations scaled by D).  shift is the state of v and
-    e(c), one signed unit stored as (index, sign), the state of B_j e_a for
-    the first axis a of cycle c.
+    As B_j B = B B_j, the rep g_j = (B_j, b_j) maps lambda to B_j lambda + v for the
+    integral v = B_j (B^T b_j + b - b_j) - b (codes, translations scaled by D);
+    shift is the state of v, e(c) = (index, sign) that of B_j e_{first axis of c}.
     """
     maps = []
     for rep in reps:
+        if code_product(rep.code, geo.code) != code_product(geo.code, rep.code):
+            continue
         D = lcm(*(x.denominator for x in (*geo.b, *rep.b)))
         b, t = ([x.numerator * (D // x.denominator) for x in v] for v in (geo.b, rep.b))
         _, u = code_compose(rep.code, t, geo.code, [x - y for x, y in zip(b, t)])
@@ -157,26 +155,23 @@ def _conjugation_maps(geo: CosetGeometry, reps: list[CosetGeometry]):
 
 
 def _count_orbits(states: set[tuple[int, ...]], geo: CosetGeometry, maps) -> int:
+    """Orbits of the maps and the identity on states, by Burnside's lemma."""
     twisted = [i for i, (_, eps) in enumerate(geo.cycles) if eps == -1]
-    unseen = set(states)
-    orbits = 0
-    while unseen:
-        frontier = [unseen.pop()]
-        orbits += 1
-        while frontier:
-            state = frontier.pop()
-            for shift, moves in maps:
-                img = list(shift)
-                for x, (i, y) in zip(state, moves):
-                    img[i] += x * y
-                for i in twisted:
-                    img[i] %= 2
-                nxt = tuple(img)
-                if nxt not in states:
-                    raise LengthError("conjugation left the solution set")
-                if nxt in unseen:
-                    unseen.remove(nxt)
-                    frontier.append(nxt)
+    fixed = len(states)
+    for shift, moves in maps:
+        for state in states:
+            img = list(shift)
+            for x, (i, y) in zip(state, moves):
+                img[i] += x * y
+            for i in twisted:
+                img[i] %= 2
+            img = tuple(img)
+            if img not in states:
+                raise LengthError("conjugation left the solution set")
+            fixed += img == state
+    orbits, rest = divmod(fixed, len(maps) + 1)
+    if rest:
+        raise LengthError("Burnside count is not integral")
     return orbits
 
 
@@ -187,15 +182,18 @@ def _class_counts(G: BieberbachGroup, max2,
 
     With exact=True only the classes of squared length max2 are counted.
     """
-    if not is_abelian_holonomy(G):
-        raise GroupError("nonabelian holonomy unsupported for length multiplicities")
     if reps is None:
         reps = [(g.B, g.b) for g in G.nontrivial()]
     max2 = Fraction(max2)
     counts: dict[Fraction, int] = {}
     # every rep matrix is checked once, before any map is built from it
     geos = [coset_geometry(B, b) for B, b in [(intlat.identity(4), (0,) * 4), *reps]]
+    seen: set[IntVector] = set()
     for geo in geos:
+        if geo.code in seen:
+            continue
+        seen.update(code_product(code_product(r.code, geo.code), code_inverse(r.code))
+                    for r in geos)
         # built before the enumeration, so a refusal does not depend on max2
         maps = _conjugation_maps(geo, geos[1:])
         for l2, sols in _solutions(geo, max2).items():

@@ -108,6 +108,21 @@ def test_declared_count_mismatch(tmp_path):
         load_catalog(_write(tmp_path, data))
 
 
+@pytest.mark.parametrize("count", ["77", True])
+def test_declared_count_must_be_an_int(tmp_path, count):
+    data = _base_data()
+    data["count"] = count
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(_write(tmp_path, data))
+    assert str(exc.value) == f"catalog count must be an integer, not {count!r}"
+
+
+def test_declared_count_matching_int_loads(tmp_path):
+    data = _base_data()
+    data["count"] = 77
+    assert len(load_catalog(_write(tmp_path, data))) == 77
+
+
 def test_printed_errata_fields(catalog):
     # recomputed invariants win; the printed values are kept alongside
     e67 = catalog.get("67")

@@ -130,17 +130,16 @@ def test_bracketL_classes(catalog):
     report = classify_all(catalog.groups(), "bracketL", max2=3)
     assert _nontrivial(report) == \
         [set(c) for c in as_sorted_lists(BRACKETL_PAIRS)]
-    # nonabelian holonomy and the non-closing entry cannot be compared
-    assert set(report.errors) == {"29'", "54", "56", "60", "61", "62", "67"}
+    # only the non-closing entry cannot be compared
+    assert set(report.errors) == {"29'"}
     assert report.params == {"max_squared_length": "3"}
 
 
 def test_bracketL_errors_do_not_depend_on_bound(catalog):
-    # only 56, 60 and 61 have a squared length <= 1/16; every nonabelian
-    # group and 29' must still be reported rather than classified by an
-    # empty signature
+    # 29' has no squared length <= 1/16; it must still be reported rather
+    # than classified by an empty signature
     report = classify_all(catalog.groups(), "bracketL", max2=Fraction(1, 16))
-    assert set(report.errors) == {"29'", "54", "56", "60", "61", "62", "67"}
+    assert set(report.errors) == {"29'"}
 
 
 def test_bracketL_refines_L(catalog):

@@ -116,6 +116,14 @@ def test_lengths(capsys):
     assert "length^2 = 1/4: 8 classes" in out
 
 
+def test_lengths_mult_nonabelian(capsys):
+    code, out, err = run(capsys, "lengths", "54", "--max-len2", "1", "--mult")
+    assert (code, err) == (0, "")
+    counts = [int(line.split(": ")[1].split()[0]) for line in out.splitlines()
+              if line.startswith("length^2 = ")]
+    assert counts and all(n > 0 for n in counts)
+
+
 def test_classify_json(capsys):
     code, out, _ = run(capsys, "classify", "--mode", "p0", "--json")
     assert code == 0
@@ -129,7 +137,8 @@ def test_classify_bracketL_text(capsys):
     code, out, _ = run(capsys, "classify", "--mode", "bracketL")
     assert code == 0
     assert "{57, 58}" in out
-    assert "[error] 60:" in out
+    assert "[error] 29':" in out
+    assert "[error] 60" not in out
 
 
 def test_classify_json_to_file(capsys, tmp_path):

@@ -2,16 +2,17 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
+from math import lcm
 
 import pytest
 
 from flat4spec import intlat, lengths
-from flat4spec.group import GroupError, is_abelian_holonomy
+from flat4spec.group import is_abelian_holonomy
 from flat4spec.intlat import code_cycles, identity, signed_code, smith_normal_form
 from flat4spec.lengths import (LengthError, _canonical_state, coset_geometry,
                                length_multiplicity, length_set, length_spectrum)
 
-from linalg import mat_sub, mat_vec, transpose
+from linalg import mat_mul, mat_sub, mat_vec, transpose
 
 F = Fraction
 
@@ -39,10 +40,66 @@ def test_multiplicity_rejects_nonpositive(catalog):
         length_multiplicity(catalog.group("1"), 0)
 
 
-def test_nonabelian_holonomy_is_refused(catalog):
-    for gid in ("54", "60", "67"):
-        with pytest.raises(GroupError):
-            length_multiplicity(catalog.group(gid), 1)
+def _conjugacy_oracle(G, max2, window=2):
+    """Classes of G per squared length <= max2, by union-find over conjugation.
+
+    The elements are (B, b + lambda) with lambda in [-window, window]^4, under
+    the product (A, a)(B, b) = (A B, B^T a + b), and translations are kept as
+    integers over their common denominator D.  The squared length of (B, c)
+    is |p_B(c)|^2 for p_B(c) = (1/m) sum_{k<m} B^k c, m the order of B.  Two
+    elements are joined when conjugation by a holonomy rep or by a lattice
+    translation +-e_i maps one onto the other.
+    """
+    def compose(x, y):
+        (A, a), (B, b) = x, y
+        return mat_mul(A, B), tuple(p + q for p, q in zip(mat_vec(transpose(B), a), b))
+
+    def inverse(x):
+        A, a = x
+        return transpose(A), tuple(-p for p in mat_vec(A, a))
+
+    D = lcm(*(x.denominator for g in G.holonomy for x in g.b))
+    length2 = {}
+    for g in G.holonomy:
+        powers = [identity(4)]
+        while (nxt := mat_mul(powers[-1], g.B)) != identity(4):
+            powers.append(nxt)
+        P = tuple(tuple(sum(M[i][j] for M in powers) for j in range(4)) for i in range(4))
+        for lam in product(range(-window, window + 1), repeat=4):
+            c = tuple(int(D * (x + y)) for x, y in zip(g.b, lam))
+            l2 = F(sum(x * x for x in mat_vec(P, c)), (len(powers) * D) ** 2)
+            if 0 < l2 <= max2:
+                length2[(g.B, c)] = l2
+    parent = {x: x for x in length2}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    conjugators = [(g.B, tuple(int(D * x) for x in g.b)) for g in G.nontrivial()]
+    conjugators += [(identity(4), tuple(s * D * x for x in e)) for e in identity(4) for s in (1, -1)]
+    zero = (0,) * 4
+    # h (B, c) h^{-1} = (M, A c + w) for h = (A, a) and (M, w) = h (B, 0) h^{-1}
+    conjugations = {(g.B, h): compose(compose(h, (g.B, zero)), inverse(h))
+                    for g in G.holonomy for h in conjugators}
+    for (B, c) in length2:
+        for h in conjugators:
+            M, w = conjugations[B, h]
+            y = (M, tuple(p + q for p, q in zip(mat_vec(h[0], c), w)))
+            if y in length2:
+                parent[find((B, c))] = find(y)
+    return dict(sorted(Counter(l2 for x, l2 in length2.items() if find(x) == x).items()))
+
+
+@pytest.mark.parametrize("gid", ["54", "56", "60", "61", "62", "67", "2", "25", "33", "42"])
+def test_class_counts_match_conjugacy_oracle(catalog, gid):
+    # nonabelian holonomy is counted over each holonomy class's centralizer
+    G = catalog.group(gid)
+    want = _conjugacy_oracle(G, 1)
+    assert want and length_spectrum(G, 1) == want
+    for l2, n in want.items():
+        assert length_multiplicity(G, l2) == n, l2
 
 
 def test_inconsistent_translations_are_refused(catalog):
