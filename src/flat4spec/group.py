@@ -18,13 +18,15 @@ entries.
 
 An element built from a matrix checks it once, on construction; products,
 inverses and `build_group` construct elements from codes they already know,
-without a second check.  The matrix, the p-form traces and the fixed
-decomposition of a code come from one walk over its cycles
-(intlat.code_cycles), computed once per code by `_code_invariants`: a pure
-function of the code, memoised for all |B4| = 384 signed permutations.  Each
-element keeps them, with the raw and folded component offsets of b and the
-p-independent theta monomial.  Torsion-freeness, Betti numbers and
-orientability (det B = tr_4 B) read these values.  A group keeps one
+without a second check.  The matrix, the p-form traces, the fixed
+decomposition and the signed cycles of a code come from one walk over its
+cycles (intlat.code_cycles), computed once per code by `_code_invariants`: a
+pure function of the code, memoised for all |B4| = 384 signed permutations.
+Each element keeps them, with its translation on integers (D, D*b) for D the
+lcm of the denominators of b, the raw and folded component offsets of b (one
+integer dot product per component) and the p-independent theta monomial.
+Torsion-freeness, Betti numbers, orientability (det B = tr_4 B) and the
+length spectra (lengths) read these values.  A group keeps one
 trace-sum table, {theta monomial: (sum tr_0, ..., sum tr_4)} over its
 holonomy, built in one pass; heat traces and classification read it.
 
@@ -45,7 +47,7 @@ from math import lcm
 from typing import Sequence
 
 from . import intlat
-from .intlat import (FixedDecomposition, IntMatrix, IntVector, RatVector,
+from .intlat import (Cycles, FixedDecomposition, IntMatrix, IntVector, RatVector,
                      code_compose, code_inverse, code_product)
 from .kraw import cycle_charpoly
 
@@ -68,8 +70,8 @@ def _norm_vec(v: Sequence) -> RatVector:
 
 
 @lru_cache(maxsize=384)  # |B4|: every 4x4 signed permutation fits
-def _code_invariants(code: IntVector) -> tuple[IntMatrix, tuple[tuple[int, ...], FixedDecomposition]]:
-    """(B, (p-form traces, fixed decomposition)) of the signed permutation with this code.
+def _code_invariants(code: IntVector) -> tuple[IntMatrix, tuple[tuple[int, ...], FixedDecomposition, Cycles]]:
+    """(B, (p-form traces, fixed decomposition, signed cycles)) of the signed permutation.
 
     One walk over the cycles of the code.  The value depends on the code
     alone and is immutable, so sharing it between elements and groups
@@ -77,7 +79,7 @@ def _code_invariants(code: IntVector) -> tuple[IntMatrix, tuple[tuple[int, ...],
     """
     cycles = intlat.code_cycles(code)
     return (intlat.code_matrix(code),
-            (cycle_charpoly(cycles), intlat.cycle_decomposition(cycles)))
+            (cycle_charpoly(cycles), intlat.cycle_decomposition(cycles), cycles))
 
 
 class _Frozen:
@@ -153,12 +155,21 @@ class AffineIsometry(_Frozen):
     # dict (not in the compared and hashed fields).
 
     @cached_property
-    def _cycle_invariants(self) -> tuple[tuple[int, ...], FixedDecomposition]:
+    def _cycle_invariants(self) -> tuple[tuple[int, ...], FixedDecomposition, Cycles]:
         return _code_invariants(self._code)[1]
 
     @cached_property
+    def _scaled_b(self) -> tuple[int, IntVector]:
+        """(D, D*b) for D the lcm of the denominators of b."""
+        D = lcm(*(x.denominator for x in self.b))
+        return D, tuple([x.numerator * (D // x.denominator) for x in self.b])
+
+    @cached_property
     def _raw_offsets(self) -> tuple[Fraction, ...]:
-        return intlat.raw_offsets(self.b, self.decomposition())
+        """Component offsets (b . u_i) mod 1 without folding, on the integers D*b."""
+        D, t = self._scaled_b
+        return tuple(Fraction(sum([x * u for x, u in zip(t, comp.vector) if u]) % D, D)
+                     for comp in self.decomposition().components)
 
     @cached_property
     def _offsets(self) -> tuple[tuple[int, Fraction], ...]:
@@ -174,6 +185,10 @@ class AffineIsometry(_Frozen):
 
     def traces(self) -> tuple[int, ...]:
         return self._cycle_invariants[0]
+
+    def cycles(self) -> Cycles:
+        """The signed cycles of B (intlat.code_cycles)."""
+        return self._cycle_invariants[2]
 
     def translation_offsets(self) -> tuple[tuple[int, Fraction], ...]:
         """Pairs (d_i, r_i): component support size and folded offset of b.

@@ -13,15 +13,13 @@ code.  A cycle of length k with sign product eps contributes the factor
 one fixed component of support size k (see decompose_fixed).  It also
 contributes Z (eps = +1) or Z/2 (eps = -1) to the quotient
 Z^4 / (B^{-1} - Id) Z^4 that labels conjugacy classes within a coset (see
-lengths).  `raw_offsets` works on a rational vector scaled to integers by the
-lcm of its denominators.  `smith_normal_form` (plain gcd elimination with
+lengths).  `smith_normal_form` (plain gcd elimination with
 unimodular bookkeeping) is the one generic routine left; no engine path calls
 it, and the benchmark's tracer counts its calls.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple, Sequence
 
 from .qfield import QuadNumber
@@ -29,6 +27,7 @@ from .qfield import QuadNumber
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
+Cycles = tuple[tuple[tuple[tuple[int, int], ...], int], ...]  # see code_cycles
 
 
 class LatticeError(ValueError):
@@ -237,7 +236,7 @@ class FixedDecomposition(NamedTuple):
         return vol
 
 
-def code_cycles(code: Sequence[int]) -> list[tuple[tuple[tuple[int, int], ...], int]]:
+def code_cycles(code: Sequence[int]) -> Cycles:
     """Cycles of the signed permutation B with this (unchecked) code, by smallest axis.
 
     A cycle (orbit, eps) starts at its smallest axis a and lists (axis, sign)
@@ -260,7 +259,7 @@ def code_cycles(code: Sequence[int]) -> list[tuple[tuple[tuple[int, int], ...], 
             axis, s = image[axis]
             sign *= s
         cycles.append((tuple(orbit), sign))
-    return cycles
+    return tuple(cycles)
 
 
 def decompose_fixed(B: IntMatrix) -> FixedDecomposition:
@@ -284,15 +283,3 @@ def cycle_decomposition(cycles) -> FixedDecomposition:
             comps.append(FixedComponent(tuple(vec), len(orbit)))
     return FixedDecomposition(tuple(comps))
 
-
-def raw_offsets(v: Sequence, dec: FixedDecomposition) -> tuple[Fraction, ...]:
-    """Component offsets (v . u_i) mod 1 without folding; v holds ints or Fractions.
-
-    The dot products run on the integers D*v, for D the lcm of the
-    denominators of v, over each component's support only.
-    """
-    D = lcm(*(x.denominator for x in v))
-    scaled = [x.numerator * (D // x.denominator) for x in v]
-    return tuple(
-        Fraction(sum(scaled[i] * u for i, u in enumerate(comp.vector) if u) % D, D)
-        for comp in dec.components)

@@ -24,9 +24,12 @@ per coset.  By Burnside's lemma the classes of a given length are the states
 of that length each element fixes, averaged over Z_F(B); abelian holonomy is
 the case Z_F(B) = F.
 
-Everything runs on ints: squared lengths times W D^2 (D the common
-denominator of the s_j, W the lcm of the d_j) and translations times their
-common denominator.  Only the returned squared lengths become Fractions.
+A coset's geometry is read from its holonomy element, whose code, signed
+cycles, fixed decomposition and integer translation (D, D*b) are computed
+once per element (group.AffineIsometry).  Everything runs on ints: squared
+lengths times W D^2 (W the lcm of the d_j) and translations times D, or
+times the lcm of two cosets' D to conjugate one by the other.  Only the
+returned squared lengths become Fractions.
 """
 from __future__ import annotations
 
@@ -35,13 +38,10 @@ from itertools import product
 from math import isqrt, lcm
 from typing import NamedTuple
 
-from . import intlat
-from .group import BieberbachGroup
-from .intlat import IntMatrix, IntVector, code_compose, code_inverse, code_product
+from .group import AffineIsometry, BieberbachGroup
+from .intlat import Cycles, IntVector, code_compose, code_inverse, code_product, identity
 
-RatVec = tuple[Fraction, ...]
-Cycles = tuple[tuple[tuple[tuple[int, int], ...], int], ...]
-_AXES = intlat.identity(4)  # the unit vectors e_a
+_AXES = identity(4)  # the unit vectors e_a
 
 
 class LengthError(ValueError):
@@ -49,28 +49,26 @@ class LengthError(ValueError):
 
 
 class CosetGeometry(NamedTuple):
-    """Precomputed data for one coset B L_{b + Z^4}."""
+    """The data of one coset B L_{b + Z^4}, translations scaled by D."""
 
-    B: IntMatrix
     code: IntVector                   # intlat.signed_code of B
-    b: RatVec
+    D: int                            # lcm of the denominators of b
+    t: IntVector                      # D*b
     units: tuple[IntVector, ...]      # disjoint-support fixed components u_j
     ds: tuple[int, ...]               # component norms d_j
-    s: tuple[Fraction, ...]           # raw offsets b.u_j
+    sD: tuple[int, ...]               # raw offsets D*(b.u_j)
     cycles: Cycles                    # signed cycles of B, one state coordinate each
 
 
-def coset_geometry(B: IntMatrix, b) -> CosetGeometry:
-    b = tuple(Fraction(x) for x in b)
-    code = intlat.checked_code(B)
-    cycles = tuple(intlat.code_cycles(code))
-    comps = intlat.cycle_decomposition(cycles).components
+def coset_geometry(g: AffineIsometry) -> CosetGeometry:
+    """The coset of the holonomy element g, read from its cached invariants."""
+    comps = g.decomposition().components
     if not comps:
         raise LengthError("element with empty fixed lattice is not torsion-free")
+    D, t = g._scaled_b
     units = tuple(c.vector for c in comps)
-    ds = tuple(c.d for c in comps)
-    s = tuple(sum(bi * ui for bi, ui in zip(b, u)) for u in units)
-    return CosetGeometry(B, code, b, units, ds, s, cycles)
+    sD = tuple(sum([x * u for x, u in zip(t, unit) if u]) for unit in units)
+    return CosetGeometry(g._code, D, t, units, tuple(c.d for c in comps), sD, g.cycles())
 
 
 # -- squared length values -------------------------------------------------
@@ -81,13 +79,12 @@ def _solutions(geo: CosetGeometry, max2: Fraction) -> dict[Fraction, list[tuple[
 
     W D^2 l2 is the integer sum_j (W / d_j) (k_j D + s_j D)^2.
     """
-    D = lcm(*(x.denominator for x in geo.s))
-    W = lcm(*geo.ds)
+    D, W = geo.D, lcm(*geo.ds)
     den = W * D * D
     top = max2.numerator * den // max2.denominator
     partial = [(0, ())] if top >= 0 else []
-    for s, d in zip(geo.s, geo.ds):
-        sD, w = s.numerator * (D // s.denominator), W // d
+    for sD, d in zip(geo.sD, geo.ds):
+        w = W // d
         grown = []
         for acc, ks in partial:
             # w x^2 <= top - acc for x = k D + sD iff |x| <= r
@@ -107,7 +104,7 @@ def length_set(G: BieberbachGroup, max2) -> set[Fraction]:
     max2 = Fraction(max2)
     values: set[Fraction] = set()
     for g in G.holonomy:
-        values.update(_solutions(coset_geometry(g.B, g.b), max2))
+        values.update(_solutions(coset_geometry(g), max2))
     return values
 
 
@@ -133,15 +130,16 @@ def _conjugation_maps(geo: CosetGeometry, reps: list[CosetGeometry]):
     """Affine maps x -> shift + sum_c x_c e(c) on states, one per rep commuting with B.
 
     As B_j B = B B_j, the rep g_j = (B_j, b_j) maps lambda to B_j lambda + v for the
-    integral v = B_j (B^T b_j + b - b_j) - b (codes, translations scaled by D);
-    shift is the state of v, e(c) = (index, sign) that of B_j e_{first axis of c}.
+    integral v = B_j (B^T b_j + b - b_j) - b (codes, translations scaled by the lcm
+    of the two cosets' D); shift is the state of v, e(c) = (index, sign) that of
+    B_j e_{first axis of c}.
     """
     maps = []
     for rep in reps:
         if code_product(rep.code, geo.code) != code_product(geo.code, rep.code):
             continue
-        D = lcm(*(x.denominator for x in (*geo.b, *rep.b)))
-        b, t = ([x.numerator * (D // x.denominator) for x in v] for v in (geo.b, rep.b))
+        D = lcm(geo.D, rep.D)
+        b, t = ([x * (D // e.D) for x in e.t] for e in (geo, rep))
         _, u = code_compose(rep.code, t, geo.code, [x - y for x, y in zip(b, t)])
         v = [x - y for x, y in zip(code_product(rep.code, u), b)]
         if any(x % D for x in v):
@@ -175,19 +173,14 @@ def _count_orbits(states: set[tuple[int, ...]], geo: CosetGeometry, maps) -> int
     return orbits
 
 
-def _class_counts(G: BieberbachGroup, max2,
-                  reps: list[tuple[IntMatrix, RatVec]] | None = None,
-                  exact: bool = False) -> dict[Fraction, int]:
+def _class_counts(G: BieberbachGroup, max2, exact: bool = False) -> dict[Fraction, int]:
     """Number of conjugacy classes of G per squared length 0 < l2 <= max2.
 
     With exact=True only the classes of squared length max2 are counted.
     """
-    if reps is None:
-        reps = [(g.B, g.b) for g in G.nontrivial()]
     max2 = Fraction(max2)
     counts: dict[Fraction, int] = {}
-    # every rep matrix is checked once, before any map is built from it
-    geos = [coset_geometry(B, b) for B, b in [(intlat.identity(4), (0,) * 4), *reps]]
+    geos = [coset_geometry(g) for g in G.holonomy]  # the identity coset first
     seen: set[IntVector] = set()
     for geo in geos:
         if geo.code in seen:
@@ -204,13 +197,12 @@ def _class_counts(G: BieberbachGroup, max2,
     return dict(sorted(counts.items()))
 
 
-def length_multiplicity(G: BieberbachGroup, l2,
-                        reps: list[tuple[IntMatrix, RatVec]] | None = None) -> int:
+def length_multiplicity(G: BieberbachGroup, l2) -> int:
     """Number of conjugacy classes of G with squared length l2."""
     l2 = Fraction(l2)
     if l2 <= 0:
         raise ValueError("squared length must be positive")
-    return _class_counts(G, l2, reps, exact=True).get(l2, 0)
+    return _class_counts(G, l2, exact=True).get(l2, 0)
 
 
 def length_spectrum(G: BieberbachGroup, max2) -> dict[Fraction, int]:

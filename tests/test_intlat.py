@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flat4spec.group import AffineIsometry
-from flat4spec.intlat import (LatticeError, decompose_fixed, identity,
-                              raw_offsets, signed_code, smith_normal_form)
+from flat4spec.intlat import (LatticeError, decompose_fixed, identity, signed_code,
+                              smith_normal_form)
 
 from linalg import det, fixed_lattice_basis, kernel_basis, mat_mul, mat_sub, mat_vec, transpose
 
@@ -95,10 +95,10 @@ def test_project_fixed_folds_offsets():
     dec = decompose_fixed(B)
     assert [c.d for c in dec.components] == [1, 1, 2]
     v = (Fraction(3, 4), Fraction(1, 2), Fraction(1, 4), Fraction(1, 2))
-    raw = raw_offsets(v, dec)
-    assert raw == (Fraction(3, 4), Fraction(1, 2), Fraction(3, 4))
-    # folding sends 3/4 to 1/4 and the pair sum 3/4 to 1/4
     g = AffineIsometry(B, v)
+    assert g._raw_offsets == _raw_offsets_oracle(v, dec) == \
+        (Fraction(3, 4), Fraction(1, 2), Fraction(3, 4))
+    # folding sends 3/4 to 1/4 and the pair sum 3/4 to 1/4
     assert g.translation_offsets() == \
         ((1, Fraction(1, 4)), (1, Fraction(1, 2)), (2, Fraction(1, 4)))
 
@@ -181,4 +181,8 @@ def test_raw_offsets_match_fraction_oracle(den, data):
         lambda k: Fraction(k, den)) for _ in range(4))))
     for B in SIGNED_PERMS_4:
         dec = decompose_fixed(B)
-        assert raw_offsets(v, dec) == _raw_offsets_oracle(v, dec), (B, v)
+        want = _raw_offsets_oracle(v, dec)
+        g = AffineIsometry(B, v)
+        assert g._raw_offsets == want, (B, v)
+        assert g.translation_offsets() == \
+            tuple((c.d, min(r, 1 - r)) for c, r in zip(dec.components, want)), (B, v)

@@ -1,14 +1,15 @@
-import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
+from typing import NamedTuple
 
 import pytest
 
 from flat4spec import intlat, lengths
 from flat4spec.group import is_abelian_holonomy
-from flat4spec.intlat import code_cycles, identity, signed_code, smith_normal_form
+from flat4spec.intlat import (code_cycles, decompose_fixed, identity, signed_code,
+                              smith_normal_form)
 from flat4spec.lengths import (LengthError, _canonical_state, coset_geometry,
                                length_multiplicity, length_set, length_spectrum)
 
@@ -137,7 +138,7 @@ def test_multiplicity_counts_orbits_only_at_its_length(catalog, monkeypatch):
         for state in states:
             # the state's +1 cycle coordinates are the k_j of its solution
             ks = [x for x, (_, eps) in zip(state, geo.cycles) if eps == 1]
-            seen.add(sum((k + s) ** 2 / d for k, s, d in zip(ks, geo.s, geo.ds)))
+            seen.add(sum((k + F(sD, geo.D)) ** 2 / d for k, sD, d in zip(ks, geo.sD, geo.ds)))
         return count(states, geo, maps)
 
     monkeypatch.setattr(lengths, "_count_orbits", spy)
@@ -146,34 +147,6 @@ def test_multiplicity_counts_orbits_only_at_its_length(catalog, monkeypatch):
             found = length_multiplicity(catalog.group(gid), l2)
             assert seen == ({l2} if found else set()), (gid, l2)
             seen.clear()
-
-
-def test_reps_order_invariance(catalog):
-    G = catalog.group("25")
-    reps = [(g.B, g.b) for g in G.nontrivial()]
-    for l2 in (F(1, 4), F(1), F(2)):
-        want = length_multiplicity(G, l2)
-        assert length_multiplicity(G, l2, reps=list(reversed(reps))) == want
-
-
-def test_reps_must_be_signed_permutations(catalog):
-    shear = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    with pytest.raises(intlat.LatticeError):
-        length_multiplicity(catalog.group("2"), 1, reps=[(shear, (0, 0, 0, 0))])
-
-
-def test_reps_lattice_shift_invariance(catalog):
-    # the multiplicity only depends on the cosets B L_{b + Z^4}
-    rng = random.Random(7)
-    for gid in ("2", "25", "33"):
-        G = catalog.group(gid)
-        reps = [(g.B, g.b) for g in G.nontrivial()]
-        shifted = [
-            (B, tuple(x + rng.randint(-2, 2) for x in b)) for B, b in reps
-        ]
-        for l2 in (F(1, 4), F(1), F(2)):
-            assert length_multiplicity(G, l2, reps=shifted) == \
-                length_multiplicity(G, l2), (gid, l2)
 
 
 def test_length_set_matches_heat_trace_support(catalog):
@@ -210,8 +183,8 @@ def test_length_set_matches_heat_trace_support(catalog):
 
 def test_coset_geometry_components(catalog):
     g = catalog.group("2").generators[0]
-    geo = coset_geometry(g.B, g.b)
-    assert len(geo.units) == len(geo.ds) == len(geo.s)
+    geo = coset_geometry(g)
+    assert len(geo.units) == len(geo.ds) == len(geo.sD)
     # one state coordinate per signed cycle: Z for each fixed component,
     # Z/2 for each cycle with sign product -1
     assert len(geo.cycles) == len(geo.units) + sum(1 for _, eps in geo.cycles if eps == -1)
@@ -249,17 +222,15 @@ def test_one_cycle_walk_per_coset(catalog, monkeypatch):
         calls[code] += 1
         return walk(code)
 
-    # every signed-cycle walk goes through intlat.code_cycles
+    # every signed-cycle walk goes through intlat.code_cycles; each holonomy
+    # element's cycles were walked once, when its group was loaded, and the
+    # cosets read them from the element
     monkeypatch.setattr(intlat, "code_cycles", counting)
     G = catalog.group("33")
     assert G.order == 8
-    # one coset per holonomy element, the identity included
-    want = Counter(intlat.signed_code(g.B) for g in G.holonomy)
     length_set(G, 4)
-    assert calls == want
-    calls.clear()
-    length_spectrum(G, 3)
-    assert calls == want
+    length_spectrum(G, 4)
+    assert not calls
 
 
 @pytest.mark.parametrize("gid, order", [("2", 2), ("25", 4), ("33", 8)])
@@ -271,18 +242,39 @@ def test_one_signed_permutation_check_per_coset(catalog, monkeypatch, gid, order
         calls.append(M)
         return check(M)
 
-    # each rep matrix, and the identity coset's, is checked once; the
-    # conjugation maps reuse the codes
+    # each holonomy matrix was checked once, when its group was loaded; the
+    # cosets and the conjugation maps reuse the elements' codes
     monkeypatch.setattr(intlat, "signed_code", counting)
     G = catalog.group(gid)
+    assert G.order == order
+    length_set(G, 4)
     length_spectrum(G, 4)
-    assert len(calls) == G.order == order
+    assert not calls
 
 
 # -- Fraction oracle ---------------------------------------------------------
-# The squared-length enumeration on Fractions and the orbit walk on lattice
-# vectors (generic matrix arithmetic) that the integer path replaced; kept to
-# check it.
+# A coset's geometry rebuilt from a bare (B, b), the squared-length
+# enumeration on Fractions and the orbit walk on lattice vectors (generic
+# matrix arithmetic) that the integer path replaced; kept to check it.
+
+
+class _GeometryOracle(NamedTuple):
+    B: tuple
+    b: tuple
+    units: tuple
+    ds: tuple
+    s: tuple       # raw offsets b.u_j as Fractions
+    cycles: tuple
+
+
+def _coset_geometry_oracle(B, b):
+    """The coset B L_{b + Z^4} from decompose_fixed(B) and Fraction dot products."""
+    b = tuple(F(x) for x in b)
+    comps = decompose_fixed(B).components
+    units = tuple(c.vector for c in comps)
+    s = tuple(sum(x * u for x, u in zip(b, unit)) for unit in units)
+    return _GeometryOracle(B, b, units, tuple(c.d for c in comps), s,
+                           code_cycles(signed_code(B)))
 
 
 def _component_scan(d, s, budget):
@@ -348,12 +340,11 @@ def _count_orbits_oracle(states, geo, maps):
     return orbits
 
 
-def _class_counts_oracle(G, max2, reps=None):
-    if reps is None:
-        reps = [(g.B, g.b) for g in G.nontrivial()]
+def _class_counts_oracle(G, max2):
+    reps = [(g.B, g.b) for g in G.nontrivial()]
     counts = {}
-    for B, b in [(identity(4), (0,) * 4), *reps]:
-        geo = coset_geometry(B, b)
+    for g in G.holonomy:
+        geo = _coset_geometry_oracle(g.B, g.b)
         maps = _conjugation_maps_oracle(geo, reps)
         for l2, sols in _solutions_oracle(geo, F(max2)).items():
             states = {state for ks in sols for state in lengths._states(geo, ks)}
@@ -367,14 +358,14 @@ ORACLE_BOUNDS = (F(1, 16), F(1, 2), F(1), F(7, 3), F(3), F(4), F(21, 2))
 def test_solutions_match_fraction_oracle(catalog):
     for entry in catalog:
         G = entry.group
-        geos = [coset_geometry(g.B, g.b) for g in G.holonomy]
-        wants = [{l2: sorted(ks) for l2, ks in _solutions_oracle(geo, max(ORACLE_BOUNDS)).items()}
-                 for geo in geos]
+        wants = [{l2: sorted(ks) for l2, ks in
+                  _solutions_oracle(_coset_geometry_oracle(g.B, g.b), max(ORACLE_BOUNDS)).items()}
+                 for g in G.holonomy]
         for max2 in ORACLE_BOUNDS:
-            for geo, want in zip(geos, wants):
-                got = lengths._solutions(geo, max2)
+            for g, want in zip(G.holonomy, wants):
+                got = lengths._solutions(coset_geometry(g), max2)
                 assert {l2: sorted(ks) for l2, ks in got.items()} == \
-                    {l2: ks for l2, ks in want.items() if l2 <= max2}, (entry.id, geo.B, max2)
+                    {l2: ks for l2, ks in want.items() if l2 <= max2}, (entry.id, g.B, max2)
             assert length_set(G, max2) == {l2 for want in wants for l2 in want if l2 <= max2}, \
                 (entry.id, max2)
 
@@ -395,10 +386,13 @@ def test_class_counts_match_orbit_walk_oracle(catalog):
                 {l2: n for l2, n in want.items() if l2 <= max2}, (entry.id, max2)
 
 
-def test_shifted_reps_match_orbit_walk_oracle(catalog):
-    rng = random.Random(12)
-    for gid in ("2", "25", "33", "42", "47", "57", "64"):
-        G = catalog.group(gid)
-        reps = [(g.B, tuple(x + rng.randint(-3, 3) for x in g.b)) for g in G.nontrivial()]
-        got = lengths._class_counts(G, 3, reps)
-        assert got == _class_counts_oracle(G, 3, reps) == length_spectrum(G, 3), gid
+def test_coset_geometry_matches_oracle(catalog):
+    # the integer offsets and translation read from each holonomy element
+    # agree with the Fraction geometry rebuilt from its bare (B, b)
+    for entry in catalog:
+        for g in entry.group.holonomy:
+            geo, want = coset_geometry(g), _coset_geometry_oracle(g.B, g.b)
+            assert [F(x, geo.D) for x in geo.sD] == list(want.s), (entry.id, g.B)
+            assert [F(x, geo.D) for x in geo.t] == list(want.b), (entry.id, g.B)
+            assert (geo.code, geo.units, geo.ds, geo.cycles) == \
+                (signed_code(g.B), want.units, want.ds, want.cycles), (entry.id, g.B)
