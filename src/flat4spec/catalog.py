@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
@@ -69,17 +70,43 @@ class Catalog:
         return [e.group for e in self.entries]
 
 
-def _entry_group(raw: dict) -> BieberbachGroup:
-    gens = [AffineIsometry.make(g["matrix"], g["translation"])
-            for g in raw["generators"]]
+def _translation_entry(x, k: int, parsed: dict[str, Fraction]) -> Fraction:
+    """Translation entry x of generator k: an int or a fraction string, read exactly."""
+    if type(x) is str:
+        f = parsed.get(x)
+        if f is None:
+            try:
+                f = parsed[x] = Fraction(x)
+            except ZeroDivisionError:
+                raise CatalogError(f"generator {k} translation entry {x!r} "
+                                   "has a zero denominator") from None
+        return f
+    if isinstance(x, (bool, float)):  # a float is not exact; bool is an int subclass
+        raise CatalogError(f"generator {k} translation entries must be integers or "
+                           f"strings, not {x!r}")
+    return Fraction(x)  # an int; another JSON type raises TypeError
+
+
+def _entry_group(raw: dict, parsed: dict[str, Fraction]) -> BieberbachGroup:
+    """The entry's group; `parsed` maps each translation string read so far to its value."""
+    gens = []
+    for k, g in enumerate(raw["generators"], 1):
+        matrix = tuple(tuple(row) for row in g["matrix"])
+        for row in matrix:
+            for x in row:
+                if type(x) is not int:  # bool is an int subclass; a float is not exact
+                    raise CatalogError(f"generator {k} matrix entries must be integers, "
+                                       f"not {x!r}")
+        gens.append(AffineIsometry(matrix, [_translation_entry(x, k, parsed)
+                                            for x in g["translation"]]))
     return build_group(gens, name=raw["id"], metadata={"table": raw.get("table", "")})
 
 
-def _validate_entry(raw: dict) -> CatalogEntry:
+def _validate_entry(raw: dict, parsed: dict[str, Fraction]) -> CatalogEntry:
     for key in ("id", "holonomy", "generators", "betti", "orientable", "diagonal"):
         if key not in raw:
             raise CatalogError(f"missing field {key!r}")
-    G = _entry_group(raw)
+    G = _entry_group(raw, parsed)
     computed_beta = (betti(G, 1), betti(G, 2))
     if computed_beta != tuple(raw["betti"]):
         raise CatalogError(
@@ -138,6 +165,7 @@ def load_catalog(path: str | None = None) -> Catalog:
         raise CatalogError(f"catalog count must be an integer, not {declared!r}")
 
     entries = []
+    parsed: dict[str, Fraction] = {}  # the catalog repeats a few translation strings
     bad: dict[str, str] = {}
     seen: set[str] = set()
     for i, raw in enumerate(data["entries"]):
@@ -150,7 +178,7 @@ def load_catalog(path: str | None = None) -> Catalog:
             continue
         seen.add(gid)
         try:
-            entries.append(_validate_entry(raw))
+            entries.append(_validate_entry(raw, parsed))
         except (CatalogError, GroupError, ValueError, KeyError, TypeError) as exc:
             bad[gid] = str(exc)
     if bad:

@@ -11,10 +11,17 @@ Each element keeps the signed-permutation code of B (intlat.signed_code);
 products, inverses and the action on points run on it through the one
 product rule, intlat.code_compose.  `build_group` closes the generators on
 codes and on translations scaled by D, the lcm of their denominators, reduced
-mod D.  Only the final holonomy elements become `AffineIsometry` objects,
-built from the codes the closure holds and from one table of the fractions
-k/D in use.  It refuses generators that are not 4x4 with 4 translation
-entries.
+mod D: each product, on both sides of every element reached, updates a copy
+of its integer translation in place.  It refuses generators that are not 4x4
+with 4 translation entries.
+
+`build_group` turns the closure's residues t = D*b into per-element
+invariants on ints: one dot product r_j = (t . u_j) mod D per fixed
+component u_j (a nontrivial element fixes a point iff every r_j is 0), the
+folded offsets min(r_j, D - r_j) counted into the theta monomial, and
+(D, D*b) in lowest terms.  They become `Fraction`s last, through one table
+of k/D per group.  An element made on its own derives the same fields
+lazily from its own (D, D*b).
 
 An element built from a matrix checks it once, on construction; products,
 inverses and `build_group` construct elements from codes they already know,
@@ -22,13 +29,11 @@ without a second check.  The matrix, the p-form traces, the fixed
 decomposition and the signed cycles of a code come from one walk over its
 cycles (intlat.code_cycles), computed once per code by `_code_invariants`: a
 pure function of the code, memoised for all |B4| = 384 signed permutations.
-Each element keeps them, with its translation on integers (D, D*b) for D the
-lcm of the denominators of b, the raw and folded component offsets of b (one
-integer dot product per component) and the p-independent theta monomial.
-Torsion-freeness, Betti numbers, orientability (det B = tr_4 B) and the
-length spectra (lengths) read these values.  A group keeps one
-trace-sum table, {theta monomial: (sum tr_0, ..., sum tr_4)} over its
-holonomy, built in one pass; heat traces and classification read it.
+Each element keeps them with the fields above.  Betti numbers, orientability
+(det B = tr_4 B), Sunada numbers and the length spectra (lengths) read these
+values.  A group keeps one trace-sum table, {theta monomial: (sum tr_0, ...,
+sum tr_4)} over its holonomy, built in one pass; heat traces and
+classification read it.
 
 `AffineIsometry` and `BieberbachGroup` are hand-written read-only classes:
 `__init__` (and `AffineIsometry._from_code`) set the fields through
@@ -36,14 +41,13 @@ object.__setattr__, assignment and deletion raise AttributeError, and
 equality and hash read only the fields (B, b) or (name, generators,
 holonomy).  The cached values above, the code, a group's trace-sum table and
 its cached hash are kept in the instance dict, outside the compared and
-hashed fields; cached_property writes that dict directly.
+hashed fields; cached_property and build_group write that dict directly.
 """
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from . import intlat
@@ -52,7 +56,6 @@ from .intlat import (Cycles, FixedDecomposition, IntMatrix, IntVector, RatVector
 from .kraw import cycle_charpoly
 
 MAX_HOLONOMY_ORDER = 48
-_HALF = Fraction(1, 2)
 _IDENTITY_CODE = (1, 2, 3, 4)  # intlat.signed_code of the 4x4 identity
 
 
@@ -82,8 +85,47 @@ def _code_invariants(code: IntVector) -> tuple[IntMatrix, tuple[tuple[int, ...],
             (cycle_charpoly(cycles), intlat.cycle_decomposition(cycles), cycles))
 
 
+class _Fractions(dict):
+    """k -> Fraction(k, D) and (d, k) -> (d, Fraction(k, D)), each made on first use.
+
+    Made for the residues in use, not for every k < D: D comes from outside.
+    """
+
+    def __init__(self, D: int):
+        super().__init__()
+        self.D = D
+
+    def __missing__(self, key):
+        value = self[key] = (Fraction(key, self.D) if type(key) is int
+                             else (key[0], self[key[1]]))
+        return value
+
+
+def _element_fields(cycles: Cycles, t: Sequence[int], fractions: _Fractions) -> dict:
+    """The fields _scaled_b, _raw_offsets, _offsets, _theta_monomial of b = t/D.
+
+    D is fractions.D.  r_j = (t . u_j) mod D for the fixed component u_j of
+    each signed cycle with sign product +1, folded to min(r_j, D - r_j); the
+    folded pairs (d_j, r_j) sort on ints as their fractions would.
+    """
+    D = fractions.D
+    raw, pairs = [], []
+    for orbit, eps in cycles:
+        if eps == 1:
+            r = sum([t[a] if s > 0 else -t[a] for a, s in orbit]) % D
+            raw.append(fractions[r])
+            pairs.append((len(orbit), min(r, D - r)))
+    ordered = sorted(pairs)
+    k = gcd(D, *t)
+    return {"_scaled_b": (D // k, tuple([x // k for x in t])),
+            "_raw_offsets": tuple(raw),
+            "_offsets": tuple([fractions[p] for p in pairs]),
+            "_theta_monomial": tuple([(fractions[p], ordered.count(p))
+                                      for p in dict.fromkeys(ordered)])}
+
+
 class _Frozen:
-    """Read-only attributes; __init__ and cached_property write the instance dict."""
+    """Read-only attributes; __init__, cached_property and build_group write vars(self)."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -158,27 +200,22 @@ class AffineIsometry(_Frozen):
     def _cycle_invariants(self) -> tuple[tuple[int, ...], FixedDecomposition, Cycles]:
         return _code_invariants(self._code)[1]
 
-    @cached_property
-    def _scaled_b(self) -> tuple[int, IntVector]:
-        """(D, D*b) for D the lcm of the denominators of b."""
+    # build_group sets _scaled_b = (D, D*b) for D the lcm of the denominators
+    # of b, the unfolded component offsets _raw_offsets, and _offsets and
+    # _theta_monomial from the closure's integers; an element made on its
+    # own derives all four from b on first use
+
+    def _fields_from_b(self) -> dict:
         D = lcm(*(x.denominator for x in self.b))
-        return D, tuple([x.numerator * (D // x.denominator) for x in self.b])
+        fields = _element_fields(self.cycles(), [x.numerator * (D // x.denominator)
+                                                 for x in self.b], _Fractions(D))
+        vars(self).update(fields)
+        return fields
 
-    @cached_property
-    def _raw_offsets(self) -> tuple[Fraction, ...]:
-        """Component offsets (b . u_i) mod 1 without folding, on the integers D*b."""
-        D, t = self._scaled_b
-        return tuple(Fraction(sum([x * u for x, u in zip(t, comp.vector) if u]) % D, D)
-                     for comp in self.decomposition().components)
-
-    @cached_property
-    def _offsets(self) -> tuple[tuple[int, Fraction], ...]:
-        return tuple((comp.d, min(r, 1 - r)) for comp, r in
-                     zip(self.decomposition().components, self._raw_offsets))
-
-    @cached_property
-    def _theta_monomial(self) -> tuple[tuple[tuple[int, Fraction], int], ...]:
-        return tuple(sorted(Counter(self._offsets).items()))
+    _scaled_b = cached_property(lambda self: self._fields_from_b()["_scaled_b"])
+    _raw_offsets = cached_property(lambda self: self._fields_from_b()["_raw_offsets"])
+    _offsets = cached_property(lambda self: self._fields_from_b()["_offsets"])
+    _theta_monomial = cached_property(lambda self: self._fields_from_b()["_theta_monomial"])
 
     def decomposition(self) -> FixedDecomposition:
         return self._cycle_invariants[1]
@@ -212,9 +249,7 @@ class AffineIsometry(_Frozen):
         Equivalent to some component offset of b being nonintegral, i.e. the
         minimal squared displacement on the fixed space is positive.
         """
-        if self.is_identity_matrix():
-            return False
-        return any(r != 0 for r in self._raw_offsets)
+        return not self.is_identity_matrix() and any(self._raw_offsets)
 
 
 class BieberbachGroup(_Frozen):
@@ -278,18 +313,23 @@ def build_group(generators: Sequence[AffineIsometry], name: str = "",
             raise GroupError(f"generator {k} has a {len(g.B)}x{len(g.B)} matrix and "
                              f"{len(g.b)} translation entries; expected 4x4 and 4")
     D = lcm(*(x.denominator for g in gens for x in g.b))
-    scaled = [(g._code, tuple(x.numerator * (D // x.denominator) for x in g.b))
-              for g in gens]
+    scaled = [(g._code, [x.numerator * (D // x.denominator) for x in g.b]) for g in gens]
     # code -> D * translation mod D of the first representative found
-    elements = {_IDENTITY_CODE: (0,) * 4}
+    elements = {_IDENTITY_CODE: [0] * 4}
     consistent = True
     frontier = [_IDENTITY_CODE]
-    while frontier:
-        cur = frontier.pop(0)
+    for cur in frontier:  # breadth-first: the loop reaches what it appends
         a = elements[cur]
         for B, b in scaled:
-            for M, t in (code_compose(cur, a, B, b), code_compose(B, b, cur, a)):
-                t = tuple([x % D for x in t])
+            # cur * g, then g * cur: (L, x) * (R, y) = (L R, R^T x + y)
+            for L, x, R, y in ((cur, a, B, b), (B, b, cur, a)):
+                t = y.copy()
+                for xi, c in zip(x, R):
+                    if c > 0:
+                        t[c - 1] = (t[c - 1] + xi) % D
+                    else:
+                        t[-c - 1] = (t[-c - 1] - xi) % D
+                M = code_product(L, R)
                 first = elements.get(M)
                 if first is None:
                     if len(elements) >= MAX_HOLONOMY_ORDER:
@@ -302,16 +342,21 @@ def build_group(generators: Sequence[AffineIsometry], name: str = "",
                     # representative found per matrix (breadth-first, hence
                     # deterministic) and record the inconsistency.
                     consistent = False
-    # one Fraction per residue in use, not per k < D: D comes from outside
-    fractions = {x: Fraction(x, D) for t in elements.values() for x in t}
+    fractions = _Fractions(D)
     # identity first, then sorted by matrix (each matrix occurs once)
     codes = sorted(elements, key=lambda M: _code_invariants(M)[0])
     codes.remove(_IDENTITY_CODE)
-    holonomy = [AffineIsometry._from_code(M, tuple([fractions[x] for x in elements[M]]))
-                for M in [_IDENTITY_CODE, *codes]]
-    for g in holonomy[1:]:
-        if not g.is_fixed_point_free():
+    holonomy = []
+    for M in [_IDENTITY_CODE, *codes]:
+        t = elements[M]
+        g = AffineIsometry._from_code(M, tuple([fractions[x] for x in t]))
+        fields = _element_fields(g.cycles(), t, fractions)
+        # a nontrivial element is fixed-point free iff some component offset
+        # of b is nonintegral
+        if M != _IDENTITY_CODE and not any(fields["_raw_offsets"]):
             raise GroupError(f"not torsion-free: element with matrix {g.B} fixes a point")
+        vars(g).update(fields)
+        holonomy.append(g)
     meta = dict(metadata or {})
     meta.setdefault("translation_consistent", consistent)
     return BieberbachGroup(name, gens, tuple(holonomy), meta)
@@ -356,12 +401,11 @@ def sunada_numbers(G: BieberbachGroup) -> dict[tuple[int, int], int]:
         raise GroupError("Sunada numbers need a diagonal-type group")
     counts = {(d, t): 0 for d in range(1, 5) for t in range(0, d + 1)}
     for g in G.nontrivial():
-        fixed = [i for i in range(4) if g.B[i][i] == 1]
-        d = len(fixed)
-        t = sum(1 for i in fixed if g.b[i] == _HALF)
-        if any(g.b[i] not in (0, _HALF) for i in fixed):
+        D, t = g._scaled_b
+        fixed = [2 * t[i] for i in range(4) if g.B[i][i] == 1]  # 2*D*b_i: 0 or D
+        if any(x not in (0, D) for x in fixed):
             raise GroupError("diagonal group with offsets outside {0, 1/2}")
-        counts[(d, t)] += 1
+        counts[(len(fixed), fixed.count(D))] += 1
     return counts
 
 

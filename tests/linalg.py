@@ -1,7 +1,10 @@
-"""Generic integer matrix arithmetic: oracles for the code-based engine in flat4spec.intlat."""
+"""Generic matrix and Fraction arithmetic: oracles for the integer engine in flat4spec."""
+from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from flat4spec.intlat import IntMatrix, IntVector, identity, smith_normal_form
+from flat4spec.intlat import IntMatrix, IntVector, decompose_fixed, identity, smith_normal_form
+from flat4spec.theta import monomial
 
 
 def dim(M: IntMatrix) -> int:
@@ -52,3 +55,29 @@ def kernel_basis(M: IntMatrix) -> tuple[IntVector, ...]:
 def fixed_lattice_basis(B: IntMatrix) -> tuple[IntVector, ...]:
     """Saturated basis of the fixed lattice ker(B - Id), via Smith reduction."""
     return kernel_basis(mat_sub(B, identity(dim(B))))
+
+
+def raw_offsets_oracle(v: Sequence, dec) -> tuple[Fraction, ...]:
+    """(v . u_i) mod 1 as Fraction dot products over all coordinates."""
+    v = tuple(Fraction(x) for x in v)
+    out = []
+    for comp in dec.components:
+        dot = sum(v[i] * comp.vector[i] for i in range(len(v)))
+        out.append(dot - (dot.numerator // dot.denominator))
+    return tuple(out)
+
+
+def element_oracle(B: IntMatrix, b: Sequence) -> tuple:
+    """The per-element invariants of (B, b), b in [0, 1)^4, on Fractions.
+
+    ((D, D*b), raw offsets, folded offsets, theta monomial, fixed-point free)
+    with D the lcm of the denominators of b, from decompose_fixed(B).
+    """
+    b = tuple(Fraction(x) for x in b)
+    D = lcm(*(x.denominator for x in b))
+    dec = decompose_fixed(B)
+    raw = raw_offsets_oracle(b, dec)
+    return ((D, tuple(int(x * D) for x in b)), raw,
+            tuple((c.d, min(r, 1 - r)) for c, r in zip(dec.components, raw)),
+            monomial(((c.d, r), 1) for c, r in zip(dec.components, raw)),
+            B != identity(len(B)) and any(raw))

@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from flat4spec import catalog as catalog_module
 from flat4spec import cli, group, intlat
 from flat4spec.catalog import (ENV_VAR, EXPECTED_COUNT, CatalogError,
                                catalog_path, load_catalog)
@@ -200,3 +202,61 @@ def test_malformed_generator_shapes_are_reported(tmp_path, field, value, shape):
     assert str(exc.value) == (
         f"invalid catalog entries: 2: generator 1 has a {shape} translation "
         "entries; expected 4x4 and 4")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    # JSON integers only: a float, a bool or a string used to pass as int(x)
+    ("matrix", 1.7, "generator 1 matrix entries must be integers, not 1.7"),
+    ("matrix", True, "generator 1 matrix entries must be integers, not True"),
+    ("matrix", "1", "generator 1 matrix entries must be integers, not '1'"),
+    # exact input: ints or fraction strings; a float or a bool is refused
+    ("translation", 1.5, "generator 1 translation entries must be integers or strings, not 1.5"),
+    ("translation", True, "generator 1 translation entries must be integers or strings, not True"),
+    # once a ZeroDivisionError that escaped the per-entry report
+    ("translation", "1/0", "generator 1 translation entry '1/0' has a zero denominator"),
+    ("translation", "abc", "Invalid literal for Fraction: 'abc'"),
+    ("translation", None, "argument should be a string or a Rational instance"),
+    ("translation", [1], "argument should be a string or a Rational instance"),
+])
+def test_inexact_or_malformed_generator_entries_are_reported(tmp_path, capsys, field, value,
+                                                             message):
+    data = _base_data()
+    entry = next(e for e in data["entries"] if e["id"] == "2")
+    gen = entry["generators"][0]
+    if field == "matrix":
+        gen["matrix"][0][0] = value
+    else:
+        gen["translation"][0] = value
+    # a second bad entry is listed too
+    next(e for e in data["entries"] if e["id"] == "24")["betti"] = [3, 3]
+    data.pop("count", None)
+    path = _write(tmp_path, data)
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(path)
+    assert str(exc.value) == (f"invalid catalog entries: 2: {message}; "
+                              "24: betti mismatch: stored [3, 3], computed [1, 0]")
+    assert cli.main(["--catalog", path, "validate"]) == 1
+    assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+
+
+def test_integer_translation_entries_load(tmp_path):
+    data = _base_data()
+    entry = next(e for e in data["entries"] if e["id"] == "2")
+    entry["generators"][0]["translation"] = [0 if x == "0" else x
+                                             for x in entry["generators"][0]["translation"]]
+    assert load_catalog(_write(tmp_path, data)).group("2") == load_catalog().group("2")
+
+
+def test_each_translation_string_is_parsed_once_per_load(monkeypatch):
+    parsed = []
+
+    def counting(*args):
+        if isinstance(args[0], str):
+            parsed.append(args[0])
+        return Fraction(*args)
+
+    monkeypatch.setattr(catalog_module, "Fraction", counting)
+    for _ in range(2):
+        load_catalog()
+    # 580 translation entries, five distinct strings, two loads
+    assert sorted(parsed) == sorted(["0", "1/2", "1/4", "1/3", "1/6"] * 2)

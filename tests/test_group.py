@@ -16,7 +16,7 @@ from flat4spec.group import (MAX_HOLONOMY_ORDER, AffineIsometry, GroupError,
 from flat4spec.intlat import identity
 from flat4spec.theta import heat_trace_poly
 
-from linalg import det, kernel_basis, mat_mul, mat_sub, mat_vec, transpose
+from linalg import det, element_oracle, kernel_basis, mat_mul, mat_sub, mat_vec, transpose
 
 ALL_SIGNED_PERMS = [
     tuple(tuple(signs[i] if perm[i] == j else 0 for j in range(4)) for i in range(4))
@@ -156,11 +156,12 @@ def test_products_and_inverses_make_no_matrix_check(catalog, monkeypatch):
     assert (products, inverses, len(calls)) == (2011, 359, 0)
 
 
-def _closure_oracle(generators):
+def _closure_oracle(generators, two_sided=True):
     """build_group's breadth-first closure, with generic Fraction arithmetic.
 
     Returns the holonomy as (B, b) pairs (identity first, then sorted) and
-    the translation_consistent flag, or the GroupError message.
+    the translation_consistent flag, or the GroupError message.  With
+    two_sided=False it multiplies by the generators on the right only.
     """
     ident = (identity(4), (Fraction(0),) * 4)
     gens = [(g.B, g.b) for g in generators]
@@ -170,7 +171,8 @@ def _closure_oracle(generators):
     while frontier:
         cur = frontier.pop(0)
         for g in gens:
-            for nxt in (_generic_product(cur, g), _generic_product(g, cur)):
+            products = (_generic_product(cur, g), _generic_product(g, cur))
+            for nxt in products if two_sided else products[:1]:
                 if nxt[0] not in elements:
                     if len(elements) >= MAX_HOLONOMY_ORDER:
                         return f"holonomy closure exceeded bound {MAX_HOLONOMY_ORDER}"
@@ -180,7 +182,7 @@ def _closure_oracle(generators):
                     consistent = False
     rest = sorted(x for x in elements.values() if x != ident)
     for B, b in rest:
-        if not AffineIsometry(B, b).is_fixed_point_free():
+        if not element_oracle(B, b)[4]:
             return f"not torsion-free: element with matrix {B} fixes a point"
     return (ident, *rest), consistent
 
@@ -193,12 +195,27 @@ def _closure(generators):
     return tuple((g.B, g.b) for g in G.holonomy), G.metadata["translation_consistent"]
 
 
+def _element_fields(g):
+    """What build_group derives per element from the closure's integers."""
+    return (g._scaled_b, g._raw_offsets, g.translation_offsets(), g.theta_monomial(),
+            g.is_fixed_point_free())
+
+
 def test_closure_matches_oracle_on_catalog(catalog):
     for entry in catalog:
         got = _closure(entry.group.generators)
         assert got == _closure_oracle(entry.group.generators), entry.id
         assert got == (tuple((g.B, g.b) for g in entry.group.holonomy),
                        entry.id != "29'"), entry.id
+
+
+def test_element_fields_match_fraction_oracle(catalog):
+    elements = 0
+    for entry in catalog:
+        for g in entry.group.holonomy:
+            assert _element_fields(g) == element_oracle(g.B, g.b), (entry.id, g)
+            elements += 1
+    assert elements == 359
 
 
 @pytest.mark.parametrize("den", (12, 5))
@@ -209,6 +226,36 @@ def test_closure_matches_oracle_on_random_generators(den, data):
     gens = data.draw(st.lists(st.builds(AffineIsometry, signed_perms, translations),
                               min_size=1, max_size=3))
     assert _closure(gens) == _closure_oracle(gens)
+    try:
+        G = build_group(gens)
+    except GroupError:
+        return
+    for g in G.holonomy:
+        assert _element_fields(g) == element_oracle(g.B, g.b), g
+
+
+# Generator sets, as (signed-permutation code, 5*b) pairs, on which a closure
+# that multiplies by the generators on the right only keeps other first
+# representatives than the two-sided one (the first three) or reaches
+# another torsion verdict (the last three); from a seeded random sweep of
+# one to three generators with translations in (1/5)Z^4.
+ONE_SIDED_DIFFERS = [
+    [((3, -4, -2, 1), (4, 4, 4, 0)), ((-4, -1, 3, 2), (2, 3, 1, 1))],
+    [((2, -4, 3, -1), (2, 0, 4, 3)), ((-4, -1, 3, -2), (2, 2, 1, 2))],
+    [((1, 3, -4, -2), (1, 0, 3, 3)), ((-1, 4, 2, 3), (0, 3, 4, 1))],
+    # torsion-free two-sided, a fixed point one-sided
+    [((2, 4, 1, 3), (1, 0, 1, 2)), ((2, -3, 4, -1), (4, 1, 0, 2))],
+    # torsion either way, first found at different matrices
+    [((-2, -1, -3, -4), (0, 2, 1, 3)), ((-4, 2, -3, 1), (1, 2, 4, 2))],
+    [((4, -1, 2, -3), (0, 0, 3, 3)), ((3, 4, 2, 1), (0, 4, 2, 3))],
+]
+
+
+@pytest.mark.parametrize("pairs", ONE_SIDED_DIFFERS)
+def test_closure_multiplies_on_both_sides(pairs):
+    gens = [AffineIsometry(intlat.code_matrix(code), [Fraction(k, 5) for k in t])
+            for code, t in pairs]
+    assert _closure_oracle(gens, two_sided=False) != _closure_oracle(gens) == _closure(gens)
 
 
 @pytest.mark.parametrize("gens, order", [

@@ -9,7 +9,8 @@ from flat4spec.group import AffineIsometry
 from flat4spec.intlat import (LatticeError, decompose_fixed, identity, signed_code,
                               smith_normal_form)
 
-from linalg import det, fixed_lattice_basis, kernel_basis, mat_mul, mat_sub, mat_vec, transpose
+from linalg import (det, element_oracle, fixed_lattice_basis, kernel_basis, mat_mul, mat_sub,
+                    mat_vec, raw_offsets_oracle, transpose)
 
 small_matrices = st.lists(
     st.lists(st.integers(min_value=-6, max_value=6), min_size=3, max_size=3),
@@ -96,7 +97,7 @@ def test_project_fixed_folds_offsets():
     assert [c.d for c in dec.components] == [1, 1, 2]
     v = (Fraction(3, 4), Fraction(1, 2), Fraction(1, 4), Fraction(1, 2))
     g = AffineIsometry(B, v)
-    assert g._raw_offsets == _raw_offsets_oracle(v, dec) == \
+    assert g._raw_offsets == raw_offsets_oracle(v, dec) == \
         (Fraction(3, 4), Fraction(1, 2), Fraction(3, 4))
     # folding sends 3/4 to 1/4 and the pair sum 3/4 to 1/4
     assert g.translation_offsets() == \
@@ -133,16 +134,6 @@ def _is_signed_permutation_oracle(M):
     return all(sum(1 for x in col if x != 0) == 1 for col in transpose(M))
 
 
-def _raw_offsets_oracle(v, dec):
-    """(v . u_i) mod 1 as Fraction dot products over all coordinates."""
-    v = tuple(Fraction(x) for x in v)
-    out = []
-    for comp in dec.components:
-        dot = sum(v[i] * comp.vector[i] for i in range(len(v)))
-        out.append(dot - (dot.numerator // dot.denominator))
-    return tuple(out)
-
-
 def test_signed_permutation_check_accepts_all_384():
     assert len(set(SIGNED_PERMS_4)) == 384
     for B in SIGNED_PERMS_4:
@@ -174,15 +165,18 @@ def test_signed_permutation_check_matches_oracle(M):
 
 
 @pytest.mark.parametrize("den", (12, 5))
-@settings(max_examples=20)
+@settings(max_examples=settings().max_examples // 5)  # each example checks all 384 matrices
 @given(data=st.data())
 def test_raw_offsets_match_fraction_oracle(den, data):
     v = data.draw(st.tuples(*(st.integers(-2 * den, 2 * den).map(
         lambda k: Fraction(k, den)) for _ in range(4))))
     for B in SIGNED_PERMS_4:
         dec = decompose_fixed(B)
-        want = _raw_offsets_oracle(v, dec)
+        want = raw_offsets_oracle(v, dec)
         g = AffineIsometry(B, v)
         assert g._raw_offsets == want, (B, v)
         assert g.translation_offsets() == \
             tuple((c.d, min(r, 1 - r)) for c, r in zip(dec.components, want)), (B, v)
+        # an element made on its own: every field from its own scaled translation
+        assert (g._scaled_b, g._raw_offsets, g.translation_offsets(), g.theta_monomial(),
+                g.is_fixed_point_free()) == element_oracle(B, g.b), (B, v)
