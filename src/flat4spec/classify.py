@@ -1,10 +1,14 @@
-"""Isospectrality comparators and batch classification.
+"""Isospectrality relations and batch classification.
 
-Comparisons are only meaningful (and only performed) between groups with the
-same holonomy order; the batch driver buckets by order first.  bracketL counts
-classes by Burnside over each holonomy class's centralizer (lengths), for every
-holonomy group.  Comparator failures for one group (nondiagonal type for sunada,
-non-closing translations for class counts) are reported per entry, not raised.
+Every relation is equality of one key, `signature(G, mode)`: the holonomy
+order |F| and the mode's invariant, so only groups of equal order are ever
+related.  `classify_all` buckets by the key, and each comparator compares it.
+The heat-trace modes key on the integer trace sums per theta monomial, equal
+at equal order exactly when the heat traces are (theta.trace_sums); L on the
+monomial support of the 0-form heat trace; bracketL on class counts by squared
+length (lengths).  A key that cannot be computed (nondiagonal type for sunada,
+non-closing translations for class counts) is a per-entry error in
+`classify_all` and an exception in the comparators.
 """
 from __future__ import annotations
 
@@ -12,35 +16,51 @@ import json
 import re
 from fractions import Fraction
 
-from .group import BieberbachGroup, GroupError, sunada_tuple
-from .lengths import length_set, length_spectrum
-from .theta import heat_trace_poly, poly_equal, trace_sums
+from .group import BieberbachGroup, sunada_tuple
+from .lengths import length_spectrum
+from .theta import trace_sums
+# not called here; kept importable: bench/test_bench.py wraps it in this module
+from .theta import heat_trace_poly  # noqa: F401
 
 MODES = ("p0", "p1", "p2", "p3", "p4", "all-p", "sunada", "L", "bracketL")
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
+
+
+def signature(G: BieberbachGroup, mode: str, max2=3) -> tuple:
+    """The key of G in this mode: (|F|, the mode's invariant); max2 is bracketL's bound."""
+    _check_mode(mode)
+    if mode == "sunada":
+        return G.order, sunada_tuple(G)
+    if mode == "L":
+        return G.order, frozenset(trace_sums(G, 0))
+    if mode == "bracketL":
+        return G.order, bracketL_signature(G, max2)
+    if mode == "all-p":
+        return G.order, frozenset(G.trace_table.items())
+    return G.order, frozenset(trace_sums(G, int(mode[1])).items())
+
+
 def p_isospectral(a: BieberbachGroup, b: BieberbachGroup, p: int) -> bool:
-    """Equality of the exact p-form heat traces."""
-    return poly_equal(heat_trace_poly(a, p), heat_trace_poly(b, p))
+    """Equality of the exact p-form heat traces, for p in 0..4."""
+    return signature(a, f"p{p}") == signature(b, f"p{p}")
 
 
 def sunada_isospectral(a: BieberbachGroup, b: BieberbachGroup) -> bool:
     """Equality of the Sunada numbers (diagonal-type groups only)."""
-    return a.order == b.order and sunada_tuple(a) == sunada_tuple(b)
+    return signature(a, "sunada") == signature(b, "sunada")
 
 
-def L_isospectral(a: BieberbachGroup, b: BieberbachGroup, max2=4) -> bool:
+def L_isospectral(a: BieberbachGroup, b: BieberbachGroup) -> bool:
     """Equality of the monomial supports of the 0-form heat traces.
 
-    This is the relation `classify_all(..., "L")` groups by.  Equal supports
-    give equal length sets, which are compared up to max2 as a one-way
-    cross-check.  The converse fails: 23 and 24 have different supports and
-    the same length set.
+    Equal supports give equal length sets (tests/test_lengths.py); the
+    converse fails: 23 and 24 have different supports, the same length set.
     """
-    same_support = heat_trace_poly(a, 0).support() == heat_trace_poly(b, 0).support()
-    if same_support and length_set(a, max2) != length_set(b, max2):
-        raise GroupError("equal heat trace supports but different length sets")
-    return same_support
+    return signature(a, "L") == signature(b, "L")
 
 
 def bracketL_signature(G: BieberbachGroup, max2) -> tuple:
@@ -54,7 +74,7 @@ def bracketL_isospectral(a: BieberbachGroup, b: BieberbachGroup, max2=3) -> bool
     Missing values count as multiplicity zero, so comparing the two signature
     maps directly covers the union of the length sets.
     """
-    return bracketL_signature(a, max2) == bracketL_signature(b, max2)
+    return signature(a, "bracketL", max2) == signature(b, "bracketL", max2)
 
 
 # -- batch classification ---------------------------------------------------
@@ -94,43 +114,21 @@ class ClassificationReport:
 
 
 def classify_all(groups: list[BieberbachGroup], mode: str, max2=3) -> ClassificationReport:
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
+    _check_mode(mode)
     params: dict = {}
-    errors: dict[str, str] = {}
-
-    # The heat-trace modes compare integer trace sums per theta monomial: a
-    # monomial fixes its coefficient's factor sqrt(D)/D, so at equal order the
-    # sums are equal exactly when the heat traces are (theta.trace_sums).
-    if mode == "sunada":
-        def signature(G):
-            return ("sunada", G.order, sunada_tuple(G))
-    elif mode == "L":
-        def signature(G):
-            return ("L", G.order, frozenset(trace_sums(G, 0)))
-    elif mode == "bracketL":
+    if mode == "bracketL":
         params["max_squared_length"] = str(Fraction(max2))
-
-        def signature(G):
-            return ("bracketL", G.order, bracketL_signature(G, max2))
-    elif mode == "all-p":
-        def signature(G):
-            return ("all-p", G.order, frozenset(G.trace_table.items()))
-    else:
-        p = int(mode[1])
-        params["p"] = p
-
-        def signature(G):
-            return ("p", p, G.order, frozenset(trace_sums(G, p).items()))
-
+    elif mode[0] == "p":
+        params["p"] = int(mode[1])
+    errors: dict[str, str] = {}
     buckets: dict = {}
     for G in groups:
         try:
-            sig = signature(G)
-        except (GroupError, ValueError) as exc:
+            key = signature(G, mode, max2)
+        except ValueError as exc:  # GroupError included
             errors[G.name] = str(exc)
             continue
-        buckets.setdefault(sig, []).append(G.name)
+        buckets.setdefault(key, []).append(G.name)
 
     classes = [sorted(names, key=id_sort_key) for names in buckets.values()]
     classes.sort(key=lambda cls: id_sort_key(cls[0]))

@@ -145,6 +145,7 @@ class AffineIsometry(_Frozen):
         object.__setattr__(self, "b", _norm_vec(b))
         # kept in the instance dict, outside the compared and hashed fields
         object.__setattr__(self, "_code", code)
+        object.__setattr__(self, "_cycle_invariants", _code_invariants(code)[1])
 
     @classmethod
     def _from_code(cls, code: IntVector, b: RatVector) -> "AffineIsometry":
@@ -193,15 +194,10 @@ class AffineIsometry(_Frozen):
         return code_product(self._code, shifted)
 
     # -- invariants ----------------------------------------------------
-    # Computed once per code (_code_invariants) and kept in the instance
-    # dict (not in the compared and hashed fields).
-
-    @cached_property
-    def _cycle_invariants(self) -> tuple[tuple[int, ...], FixedDecomposition, Cycles]:
-        return _code_invariants(self._code)[1]
-
-    # build_group sets _scaled_b = (D, D*b) for D the lcm of the denominators
-    # of b, the unfolded component offsets _raw_offsets, and _offsets and
+    # __init__ and _from_code keep the code's traces, fixed decomposition and
+    # signed cycles (_code_invariants) as _cycle_invariants.  build_group
+    # sets _scaled_b = (D, D*b) for D the lcm of the denominators of b, the
+    # unfolded component offsets _raw_offsets, and _offsets and
     # _theta_monomial from the closure's integers; an element made on its
     # own derives all four from b on first use
 

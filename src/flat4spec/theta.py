@@ -20,6 +20,11 @@ sqrt(D)/D times the integer trace sum c_{p,m} over the elements with that
 monomial.  The group keeps these sums in one table (BieberbachGroup.trace_table,
 built once per group); `trace_sums` reads it, and at equal order two heat
 traces are equal exactly when their nonzero sums are.
+
+The engine never calls `monomial` or `fold_offset`.  They stay public because
+tests/golden_heat.py builds the golden polynomials with them, and the
+benchmark's output checks import golden_heat, `HeatTracePoly.from_terms` and
+`monomial_str` from the checkout they measure.
 """
 from __future__ import annotations
 

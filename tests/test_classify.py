@@ -13,6 +13,11 @@ from flat4spec.theta import heat_trace_poly, poly_equal
 from golden_classes import (BRACKETL_EXCLUDED, BRACKETL_PAIRS, L_SETS, P0_SETS,
                             P1_SETS, P2_SETS, as_sorted_lists)
 
+# pairs with equal 0-form supports and equal length sets of different holonomy
+# orders: no relation puts them together
+CROSS_ORDER_L_PAIRS = [("5", "24"), ("5", "26"), ("19'", "42"), ("19'", "44"),
+                       ("21", "42"), ("21", "44")]
+
 
 def test_id_sort_key():
     names = ["10", "2''", "9'", "2", "3", "2'", "10'"]
@@ -58,12 +63,21 @@ def test_all_p_equals_p0(catalog):
         classify_all(groups, "p0").classes
 
 
-def _pairwise_classes(groups, same):
-    """Classes of an equivalence `same`, built by comparing groups of equal order."""
+def _class_of(report):
+    return {gid: k for k, cls in enumerate(report.classes) for gid in cls}
+
+
+def _all_pairs(groups):
+    """Every unordered pair of distinct groups, of any orders."""
+    return [(a, b) for i, a in enumerate(groups) for b in groups[i + 1:]]
+
+
+def _pairwise_classes(groups, same, by_order):
+    """Classes of an equivalence `same`; with by_order, only groups of equal order meet."""
     classes = []
     for G in groups:
         for cls in classes:
-            if cls[0].order == G.order and same(cls[0], G):
+            if (not by_order or cls[0].order == G.order) and same(cls[0], G):
                 cls.append(G)
                 break
         else:
@@ -74,7 +88,10 @@ def _pairwise_classes(groups, same):
 @pytest.mark.parametrize("mode", ["p0", "p1", "p2", "p3", "p4", "all-p", "L"])
 def test_integer_signatures_match_heat_trace_polynomials(catalog, mode):
     # classify_all compares integer trace sums; the oracle compares the
-    # exact heat-trace polynomials with poly_equal (or their supports for L)
+    # exact heat-trace polynomials with poly_equal (or their supports for L).
+    # Equal heat traces force equal |F| (only the identity's monomial has four
+    # fixed dimensions), so the p oracle compares groups of any orders; equal
+    # supports do not, and L relates only groups of equal order.
     groups = catalog.groups()
     degrees = range(5) if mode == "all-p" else [0] if mode == "L" else [int(mode[1])]
     polys = {(G, p): heat_trace_poly(G, p) for G in groups for p in degrees}
@@ -86,14 +103,13 @@ def test_integer_signatures_match_heat_trace_polynomials(catalog, mode):
             return all(poly_equal(polys[a, p], polys[b, p]) for p in degrees)
     report = classify_all(groups, mode)
     assert report.errors == {}
-    assert sorted(sorted(cls) for cls in report.classes) == _pairwise_classes(groups, same)
+    assert sorted(sorted(cls) for cls in report.classes) == \
+        _pairwise_classes(groups, same, by_order=mode == "L")
     if mode in ("p0", "p1", "p2", "p3", "p4"):
-        class_of = {gid: k for k, cls in enumerate(report.classes) for gid in cls}
-        for i, a in enumerate(groups):
-            for b in groups[i + 1:]:
-                if a.order == b.order:
-                    assert p_isospectral(a, b, int(mode[1])) == \
-                        (class_of[a.name] == class_of[b.name]), (a.name, b.name)
+        class_of = _class_of(report)
+        for a, b in _all_pairs(groups):
+            assert p_isospectral(a, b, int(mode[1])) == \
+                (class_of[a.name] == class_of[b.name]), (a.name, b.name)
 
 
 def test_L_classes(catalog):
@@ -103,27 +119,16 @@ def test_L_classes(catalog):
 
 
 def test_L_isospectral_agrees_with_L_classes(catalog):
-    # 23/24 and 12/12' share a length set up to max2 = 4 but not a support;
-    # the cross-check is one-way, so they compare unequal without raising
-    classes = classify_all(catalog.groups(), "L").classes
-    class_of = {gid: k for k, cls in enumerate(classes) for gid in cls}
-    entries = list(catalog)
-    pairs = [(a, b) for i, a in enumerate(entries) for b in entries[i + 1:]
-             if a.group.order == b.group.order]
-    for a, b in pairs:
-        assert L_isospectral(a.group, b.group) == (class_of[a.id] == class_of[b.id])
+    # 23/24 and 12/12' share a length set up to max2 = 4 but not a support
+    groups = catalog.groups()
+    class_of = _class_of(classify_all(groups, "L"))
+    for a, b in _all_pairs(groups):
+        assert L_isospectral(a, b) == (class_of[a.name] == class_of[b.name]), (a.name, b.name)
     assert not L_isospectral(catalog.group("23"), catalog.group("24"))
     assert not L_isospectral(catalog.group("12"), catalog.group("12'"))
-
-
-def test_L_isospectral_raises_when_equal_supports_give_different_sets(
-        catalog, monkeypatch):
-    a, b = catalog.group("25"), catalog.group("27")
-    assert L_isospectral(a, b)
-    sets = {a: {Fraction(1)}, b: {Fraction(2)}}
-    monkeypatch.setattr(classify, "length_set", lambda G, max2: sets[G])
-    with pytest.raises(GroupError, match="different length sets"):
-        L_isospectral(a, b)
+    # equal supports and length sets, but different holonomy orders
+    for a, b in CROSS_ORDER_L_PAIRS:
+        assert not L_isospectral(catalog.group(a), catalog.group(b))
 
 
 def test_bracketL_classes(catalog):
@@ -152,11 +157,41 @@ def test_bracketL_refines_L(catalog):
         assert not bracketL_isospectral(catalog.group(a), catalog.group(b))
 
 
+def test_bracketL_isospectral_agrees_with_bracketL_classes(catalog):
+    groups = [G for G in catalog.groups() if G.name != "29'"]
+    # each group's key once; classify_all groups by it
+    keys = {G.name: classify.signature(G, "bracketL", 3) for G in groups}
+    class_of = _class_of(classify_all(groups, "bracketL", max2=3))
+    for a, b in _all_pairs(groups):
+        assert (keys[a.name] == keys[b.name]) == (class_of[a.name] == class_of[b.name])
+    # no class has a squared length <= 1/16, so only the orders tell groups apart
+    tiny = Fraction(1, 16)
+    assert bracketL_isospectral(catalog.group("2"), catalog.group("5"), tiny)
+    assert not bracketL_isospectral(catalog.group("1"), catalog.group("2"), tiny)
+    for a, b in CROSS_ORDER_L_PAIRS:
+        assert not bracketL_isospectral(catalog.group(a), catalog.group(b))
+
+
+def test_sunada_isospectral_agrees_with_sunada_classes(catalog):
+    groups = catalog.groups()
+    diagonal = {e.id for e in catalog if e.diagonal}
+    class_of = _class_of(classify_all(groups, "sunada"))
+    for a, b in _all_pairs(groups):
+        if {a.name, b.name} <= diagonal:
+            assert sunada_isospectral(a, b) == (class_of[a.name] == class_of[b.name])
+        else:
+            with pytest.raises(GroupError):
+                sunada_isospectral(a, b)
+
+
 def test_pairwise_comparators(catalog):
     g57, g58, g24 = (catalog.group(i) for i in ("57", "58", "24"))
     for p in range(5):
         assert p_isospectral(g57, g58, p)
         assert not p_isospectral(g57, g24, p)
+    for p in (-1, 5, 10):
+        with pytest.raises(ValueError):
+            p_isospectral(g57, g58, p)
     assert sunada_isospectral(catalog.group("35"), catalog.group("40"))
     assert not sunada_isospectral(catalog.group("35"), catalog.group("42"))
 

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +30,7 @@ def test_validate_bad_catalog(capsys, tmp_path):
 
 
 def test_validate_malformed_generator(capsys, tmp_path):
-    data = json.loads(open(catalog_path()).read())
+    data = json.loads(Path(catalog_path()).read_text())
     entry = next(e for e in data["entries"] if e["id"] == "2")
     entry["generators"][0]["matrix"] = [[1, 0, 0], [0, 1, 0], [0, 0, -1]]
     bad = tmp_path / "bad.json"

@@ -154,9 +154,9 @@ def test_length_set_matches_heat_trace_support(catalog):
     # by the monomial support of the 0-form heat trace
     from flat4spec.theta import heat_trace_poly
 
-    max2 = F(3)
-    for gid in ("2", "24", "25", "27", "29'", "47", "57", "64"):
-        G = catalog.group(gid)
+    max2 = F(4)
+    for G in catalog.groups():
+        gid = G.name
         support = heat_trace_poly(G, 0).support()
         values = set()
         for mono in support:
@@ -179,6 +179,21 @@ def test_length_set_matches_heat_trace_support(catalog):
                     k += 1
             spread(list(mono), F(0))
         assert values == length_set(G, max2), gid
+
+
+def test_equal_heat_trace_supports_give_equal_length_sets(catalog):
+    # the theorem behind L_isospectral, checked for groups of any orders:
+    # equal 0-form supports give equal length sets
+    from flat4spec.theta import heat_trace_poly
+
+    by_support = {}
+    for G in catalog.groups():
+        by_support.setdefault(heat_trace_poly(G, 0).support(), []).append(G)
+    pairs = [(a, b) for same in by_support.values()
+             for i, a in enumerate(same) for b in same[i + 1:]]
+    assert (len(pairs), sum(a.order != b.order for a, b in pairs)) == (29, 6)
+    for a, b in pairs:
+        assert length_set(a, 6) == length_set(b, 6), (a.name, b.name)
 
 
 def test_coset_geometry_components(catalog):
