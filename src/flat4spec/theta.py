@@ -18,8 +18,9 @@ explicit scale, so stored coefficients are |F| times the true ones.
 A monomial m fixes the product D of its dimensions, so its coefficient is
 sqrt(D)/D times the integer trace sum c_{p,m} over the elements with that
 monomial.  The group keeps these sums in one table (BieberbachGroup.trace_table,
-built once per group); `trace_sums` reads it, and at equal order two heat
-traces are equal exactly when their nonzero sums are.
+built once per group); `trace_sums` reads it, and at equal order two heat traces
+are equal exactly when their nonzero sums are.  `theta_value` is memoised per
+process, with a bound, so `crosscheck` sums each variable once per (s, terms).
 
 The engine never calls `monomial` or `fold_offset`.  They stay public because
 tests/golden_heat.py builds the golden polynomials with them, and the
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .group import BieberbachGroup
@@ -89,14 +91,9 @@ class HeatTracePoly(NamedTuple):
     def from_terms(cls, order: int, terms) -> "HeatTracePoly":
         acc: dict[Monomial, QuadNumber] = {}
         for mono, coef in terms:
-            coef = QuadNumber.coerce(coef)
-            cur = acc.get(mono)
-            total = coef if cur is None else cur + coef
-            if total.is_zero():
-                acc.pop(mono, None)
-            else:
-                acc[mono] = total
-        return cls(order, tuple(sorted(acc.items(), key=lambda kv: _mono_key(kv[0]))))
+            acc[mono] = acc.get(mono, QuadNumber()) + coef
+        kept = [kv for kv in acc.items() if not kv[1].is_zero()]
+        return cls(order, tuple(sorted(kept, key=lambda kv: _mono_key(kv[0]))))
 
     def coeff_dict(self) -> dict[Monomial, QuadNumber]:
         return dict(self.coeffs)
@@ -115,14 +112,11 @@ class HeatTracePoly(NamedTuple):
         return f"{self.order}*Z_p = " + " + ".join(parts)
 
     def eval_numeric(self, s: float, terms: int = 40) -> float:
-        values: dict[tuple[int, Fraction], float] = {}  # each variable once
         total = 0.0
         for mono, coef in self.coeffs:
             val = float(coef)
             for var, e in mono:
-                if var not in values:
-                    values[var] = theta_value(*var, s, terms)
-                val *= values[var] ** e
+                val *= theta_value(*var, s, terms) ** e
             total += val
         return total / self.order
 
@@ -136,10 +130,10 @@ def poly_equal(a: HeatTracePoly, b: HeatTracePoly) -> bool:
     """Exact equality of the underlying (unscaled) polynomials."""
     if a.order == b.order:
         return a.coeffs == b.coeffs
-    ua, ub = a.unscaled(), b.unscaled()
-    return ua == ub
+    return a.unscaled() == b.unscaled()
 
 
+@lru_cache(maxsize=1024)  # the catalog's 8 variables (d, r) at 128 (s, terms) settings
 def theta_value(d: int, r, s: float, terms: int = 40) -> float:
     """Numeric z_{d,r}(s) with the sum truncated at |m| <= terms."""
     r = float(Fraction(r))
@@ -160,12 +154,17 @@ def trace_sums(G: BieberbachGroup, p: int) -> dict[Monomial, int]:
     return {mono: sums[p] for mono, sums in G.trace_table.items() if sums[p]}
 
 
+@lru_cache(maxsize=None)
+def _coefficient(D: int, tr: int) -> QuadNumber:
+    """tr/vol = tr sqrt(D)/D: a monomial fixes the product D of its dimensions d."""
+    return QuadNumber.sqrt_int(D) * Fraction(tr, D)
+
+
 def heat_trace_poly(G: BieberbachGroup, p: int) -> HeatTracePoly:
     """Exact p-form heat trace of R^4/G as a theta polynomial."""
-    # a monomial fixes the product D of its dimensions d, hence the common
-    # factor 1/vol = 1/sqrt(D) = sqrt(D)/D of every element it collects
+    # trace_sums has distinct monomials and nonzero sums: nothing to accumulate
     terms = []
-    for mono, tr in trace_sums(G, p).items():
+    for mono, tr in sorted(trace_sums(G, p).items(), key=lambda kv: _mono_key(kv[0])):
         D = math.prod(d ** e for (d, _), e in mono)
-        terms.append((mono, QuadNumber.sqrt_int(D) * Fraction(tr, D)))
-    return HeatTracePoly.from_terms(G.order, terms)
+        terms.append((mono, _coefficient(D, tr)))
+    return HeatTracePoly(G.order, tuple(terms))

@@ -145,3 +145,24 @@ def test_eval_numeric_torus(catalog):
 def test_golden_table_covers_catalog(catalog):
     ids = set(catalog.ids())
     assert set(TABLE) | set(ALIASES) == ids
+
+
+def test_memoised_theta_values_are_exact(catalog):
+    # crosscheck's bytes rest on eval_numeric: with the memo it must give the
+    # same float as the unmemoised series summed in the same order.  The
+    # settings alternate, and the last differs from the first only in terms
+    # (the |m| = 3 term is seen at s = 0.08), so a memo keyed without s or
+    # terms fails here.
+    assert theta_value.cache_info().maxsize is not None
+    raw = theta_value.__wrapped__
+    for entry in catalog:
+        for p in range(5):
+            poly = heat_trace_poly(entry.group, p)
+            for s, terms in ((0.08, 60), (0.3, 20), (0.08, 2)):
+                want = 0.0
+                for mono, coef in poly.coeffs:
+                    val = float(coef)
+                    for (d, r), e in mono:
+                        val *= raw(d, r, s, terms) ** e
+                    want += val
+                assert poly.eval_numeric(s, terms) == want / poly.order, (entry.id, p, s)
