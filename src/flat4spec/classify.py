@@ -17,7 +17,6 @@ import re
 from fractions import Fraction
 
 from .group import BieberbachGroup, sunada_tuple
-from .lengths import length_spectrum
 from .theta import trace_sums
 # not called here; kept importable: bench/test_bench.py wraps it in this module
 from .theta import heat_trace_poly  # noqa: F401
@@ -65,6 +64,7 @@ def L_isospectral(a: BieberbachGroup, b: BieberbachGroup) -> bool:
 
 def bracketL_signature(G: BieberbachGroup, max2) -> tuple:
     """Sorted (squared length, class count) pairs up to max2."""
+    from .lengths import length_spectrum  # imported here: no other mode needs it
     return tuple(sorted(length_spectrum(G, max2).items()))
 
 

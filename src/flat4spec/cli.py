@@ -10,6 +10,10 @@ Subcommands:
     crosscheck  compare exact heat trace polynomials with truncated
                 eigenvalue sums
 
+Only the commands that need them import the heavier layers: `spectrum` and
+`crosscheck` import numspec, `lengths` and `classify --mode bracketL` import
+lengths; every other command loads neither.
+
 Exit codes: 0 success, 1 computational failure or mismatch, 2 usage error.
 """
 from __future__ import annotations
@@ -24,8 +28,6 @@ from pathlib import Path
 from .catalog import Catalog, CatalogError, catalog_path, load_catalog
 from .classify import MODES, classify_all
 from .group import GroupError, betti, is_orientable
-from .lengths import length_set, length_spectrum
-from .numspec import heat_trace_numeric, multiplicities
 from .theta import heat_trace_poly
 
 
@@ -135,6 +137,7 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from .numspec import multiplicities
     cat = _load(args)
     entry = cat.get(args.id)
     degrees = range(5) if args.p is None else [args.p]
@@ -145,6 +148,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_lengths(args) -> int:
+    from .lengths import length_set, length_spectrum
     cat = _load(args)
     entry = cat.get(args.id)
     if args.mult:
@@ -180,6 +184,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
+    from .numspec import heat_trace_numeric
     cat = _load(args)
     failures = 0
     degrees = range(5) if args.p is None else [args.p]

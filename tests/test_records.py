@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -28,6 +29,96 @@ def test_cli_import_does_not_load_dataclasses_or_inspect():
     added = _modules_after("import flat4spec.cli") - _modules_after("pass")
     assert "flat4spec.cli" in added
     assert not {"dataclasses", "inspect"} & added
+
+
+def _package_modules_after(statement: str) -> set[str]:
+    return {name.removeprefix("flat4spec.")
+            for name in _modules_after(statement) if name.startswith("flat4spec")}
+
+
+def _quiet_main(*argv: str) -> str:
+    return ("import contextlib, io\nfrom flat4spec.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()): main({list(argv)!r})")
+
+
+EVERY_COMMAND = {"flat4spec", "catalog", "classify", "cli", "group", "intlat",
+                 "kraw", "qfield", "theta"}
+
+
+def test_package_import_loads_no_submodule():
+    assert _package_modules_after("import flat4spec") == {"flat4spec"}
+    # a submodule name resolves on first use, and loads only what it imports
+    assert _package_modules_after("import flat4spec; flat4spec.kraw") == {
+        "flat4spec", "intlat", "kraw", "qfield"}
+
+
+def test_cli_import_loads_neither_lengths_nor_numspec():
+    assert _package_modules_after("import flat4spec.cli") == EVERY_COMMAND
+
+
+@pytest.mark.parametrize("argv, deferred", [
+    (("classify", "--mode", "p0"), set()),
+    (("classify", "--mode", "bracketL", "--bound", "1/2"), {"lengths"}),
+    (("lengths", "1", "--max-len2", "2"), {"lengths"}),
+    (("spectrum", "1", "--max-mu", "3"), {"numspec"}),
+    (("crosscheck", "1", "-p", "0"), {"numspec"}),
+], ids=["classify-p0", "classify-bracketL", "lengths", "spectrum", "crosscheck"])
+def test_command_loads_only_the_deferred_layers_it_runs(argv, deferred):
+    assert _package_modules_after(_quiet_main(*argv)) == EVERY_COMMAND | deferred
+
+
+# flat4spec.__all__ before its names were loaded lazily; the set must stay
+PUBLIC_NAMES = {
+    "AffineIsometry", "BieberbachGroup", "Catalog", "CatalogEntry",
+    "CatalogError", "ClassificationReport", "GroupError", "HeatTracePoly",
+    "L_isospectral", "MODES", "QuadNumber", "UnrepresentableRadical", "betti",
+    "bracketL_isospectral", "build_group", "catalog_path", "classify_all",
+    "heat_trace_numeric", "heat_trace_poly", "is_abelian_holonomy",
+    "is_diagonal_type", "is_orientable", "krawtchouk", "lattice_shell",
+    "length_multiplicity", "length_set", "length_spectrum", "load_catalog",
+    "multiplicities", "multiplicity", "p_isospectral", "poly_equal",
+    "sunada_isospectral", "sunada_numbers", "sunada_tuple", "theta_value",
+    "trace_p",
+}
+
+
+def test_public_names_are_unchanged():
+    assert sorted(flat4spec.__all__) == sorted(PUBLIC_NAMES)
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_NAMES))
+def test_public_name_is_its_home_modules_object(name):
+    value = getattr(flat4spec, name)
+    # MODES, a tuple, is the one public name without a __module__
+    home = importlib.import_module(getattr(value, "__module__", "flat4spec.classify"))
+    assert home.__name__.startswith("flat4spec.")
+    assert getattr(home, name) is value
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from flat4spec import *", namespace)
+    del namespace["__builtins__"]
+    assert namespace.keys() == PUBLIC_NAMES
+    assert all(value is getattr(flat4spec, name) for name, value in namespace.items())
+
+
+def test_dir_lists_public_names_and_submodules():
+    listed = set(dir(flat4spec))
+    assert {"__all__", "__version__"} | PUBLIC_NAMES <= listed
+    assert {"cli", "intlat", "lengths", "numspec", "theta"} <= listed
+
+
+def test_submodule_attribute_is_the_module():
+    assert flat4spec.lengths is importlib.import_module("flat4spec.lengths")
+    assert flat4spec.intlat is importlib.import_module("flat4spec.intlat")
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        flat4spec.no_such_name
+    assert not hasattr(flat4spec, "no_such_name")
+    assert "no_such_name" not in dir(flat4spec)
 
 
 def _iso(B, b):
