@@ -5,24 +5,33 @@ The default catalog ships as data/catalog.json (77 entries: the torus plus
 path of an alternative JSON file to override it.
 
 Loading revalidates every entry: the generators must close to a torsion-free
-group with the stated holonomy order, and the stored Betti numbers,
-orientability, diagonal-type flag and (for diagonal type) Sunada numbers must
-match recomputation.  Validation failures raise CatalogError listing the
-offending entry ids.
+group, and the stored Betti numbers, orientability, diagonal-type flag, (for
+diagonal type) Sunada numbers and holonomy label (by its count of elements of
+each order) must match recomputation.  Validation failures raise CatalogError
+listing the offending entry ids.
 """
 from __future__ import annotations
 
 import json
 import os
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 from pathlib import Path
 from typing import NamedTuple
 
 from .group import (AffineIsometry, BieberbachGroup, GroupError, betti,
                     build_group, is_diagonal_type, is_orientable, sunada_tuple)
+from .intlat import Cycles
 
 ENV_VAR = "FLAT4SPEC_CATALOG"
 EXPECTED_COUNT = 77
+# holonomy label -> {element order: number of holonomy elements of that order}
+_ORDER_COUNTS = {
+    "1": {1: 1}, "Z2": {1: 1, 2: 1}, "Z3": {1: 1, 3: 2}, "Z4": {1: 1, 2: 1, 4: 2},
+    "Z2^2": {1: 1, 2: 3}, "Z6": {1: 1, 2: 1, 3: 2, 6: 2}, "D3": {1: 1, 2: 3, 3: 2},
+    "Z2^3": {1: 1, 2: 7}, "Z2xZ4": {1: 1, 2: 3, 4: 4}, "D4": {1: 1, 2: 5, 4: 2},
+}
 
 
 class CatalogError(ValueError):
@@ -87,6 +96,12 @@ def _translation_entry(x, k: int, parsed: dict[str, Fraction]) -> Fraction:
     return Fraction(x)  # an int; another JSON type raises TypeError
 
 
+@lru_cache(maxsize=384)  # one entry per signed permutation
+def _order(cycles: Cycles) -> int:
+    """Order of the signed permutation with these cycles: lcm of len, or 2*len if eps = -1."""
+    return lcm(*[len(orbit) if eps == 1 else 2 * len(orbit) for orbit, eps in cycles])
+
+
 def _entry_group(raw: dict, parsed: dict[str, Fraction]) -> BieberbachGroup:
     """The entry's group; `parsed` maps each translation string read so far to its value."""
     gens = []
@@ -126,6 +141,15 @@ def _validate_entry(raw: dict, parsed: dict[str, Fraction]) -> CatalogEntry:
             )
         if "sunada_printed" in raw:
             sunada_printed = tuple(raw["sunada_printed"])
+    label, orders = raw["holonomy"], {}
+    if type(label) is not str or label not in _ORDER_COUNTS:
+        raise CatalogError(f"unknown holonomy {label!r}; known: {', '.join(_ORDER_COUNTS)}")
+    for g in G.holonomy:
+        order = _order(g.cycles())
+        orders[order] = orders.get(order, 0) + 1
+    if orders != _ORDER_COUNTS[label]:
+        raise CatalogError(f"holonomy mismatch: stored {label}, computed element orders "
+                           f"{dict(sorted(orders.items()))}")
     return CatalogEntry(
         id=raw["id"],
         table=raw.get("table", ""),

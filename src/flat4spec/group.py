@@ -1,53 +1,47 @@
 """Bieberbach groups with translation lattice Z^4.
 
 A group is generated by affine isometries gamma = B L_b acting by
-x -> B x + B b, with B a signed permutation matrix and b rational.  Elements
-are normalized so b lies in [0, 1)^4; the holonomy group is the finite set of
-coset representatives mod the lattice.  Composition follows from the action:
+x -> B x + B b, with B a signed permutation matrix and b rational.  The
+holonomy group is the finite set of coset representatives mod the lattice.
+Composition follows from the action:
 
     (B, b) * (B', b') = (B B', B'^T b + b')      (translation part mod Z^4)
 
-Each element keeps the signed-permutation code of B (intlat.signed_code);
-products, inverses and the action on points run on it through the one
-product rule, intlat.code_compose.  `build_group` closes the generators on
-codes and on translations scaled by D, the lcm of their denominators, reduced
-mod D: each product, on both sides of every element reached, updates a copy
-of its integer translation in place.  It refuses generators that are not 4x4
-with 4 translation entries.
+Every element is set up in one place, `AffineIsometry._set`, from the
+signed-permutation code of B (intlat.signed_code), ints t in [0, D)^4 with
+b = t/D, and a table of the fractions k/D (`_Fractions`).  `__init__` checks
+the matrix once and turns b into ints, D the lcm of its denominators;
+`_from_code` skips the check for a known code.  Products and inverses run on
+codes and ints through intlat.code_compose.  `build_group` closes the
+generators with D the lcm of theirs, inlining an in-place version of that
+rule, and gives every holonomy element the group's one table.  It refuses
+generators that are not 4x4 with 4 translation entries.
 
-`build_group` turns the closure's residues t = D*b into per-element
-invariants on ints: one dot product r_j = (t . u_j) mod D per fixed
-component u_j (a nontrivial element fixes a point iff every r_j is 0), the
-folded offsets min(r_j, D - r_j) counted into the theta monomial, and
-(D, D*b) in lowest terms.  They become `Fraction`s last, through one table
-of k/D per group.  An element made on its own derives the same fields
-lazily from its own (D, D*b).
+`_element_fields` computes the other per-element fields from the ints, all
+at once, the first time one is read: the sum s_j = t . u_j per fixed
+component u_j, r_j = s_j mod D (a nontrivial element fixes a point iff every
+r_j is 0), and the folded offsets min(r_j, D - r_j), counted into the theta
+monomial.  Offsets become `Fraction`s last, through the table.
 
-An element built from a matrix checks it once, on construction; products,
-inverses and `build_group` construct elements from codes they already know,
-without a second check.  The matrix, the p-form traces, the fixed
-decomposition and the signed cycles of a code come from one walk over its
-cycles (intlat.code_cycles), computed once per code by `_code_invariants`: a
-pure function of the code, memoised for all |B4| = 384 signed permutations.
-Each element keeps them with the fields above.  Betti numbers, orientability
-(det B = tr_4 B), Sunada numbers and the length spectra (lengths) read these
-values.  A group keeps one trace-sum table, {theta monomial: (sum tr_0, ...,
-sum tr_4)} over its holonomy, built in one pass; heat traces and
-classification read it.
+The matrix, the p-form traces, the fixed decomposition and the signed cycles
+of a code come from one walk over its cycles (intlat.code_cycles), memoised
+per code by `_code_invariants` for all |B4| = 384 signed permutations.  Betti
+numbers, orientability (det B = tr_4 B), Sunada numbers and the length
+spectra (lengths) read these values.  A group keeps one trace-sum table,
+{theta monomial: (sum tr_0, ..., sum tr_4)} over its holonomy, built in one
+pass; heat traces and classification read it.
 
-`AffineIsometry` and `BieberbachGroup` are hand-written read-only classes:
-`__init__` (and `AffineIsometry._from_code`) set the fields through
-object.__setattr__, assignment and deletion raise AttributeError, and
-equality and hash read only the fields (B, b) or (name, generators,
-holonomy).  The cached values above, the code, a group's trace-sum table and
-its cached hash are kept in the instance dict, outside the compared and
-hashed fields; cached_property and build_group write that dict directly.
+`AffineIsometry` and `BieberbachGroup` are read-only: assignment and deletion
+raise AttributeError, and equality and hash read only (B, b) or (name,
+generators, holonomy).  The code, the ints, the cached values above, a
+group's trace-sum table and its cached hash are kept in the instance, outside
+the compared and hashed fields.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
 from . import intlat
@@ -61,15 +55,6 @@ _IDENTITY_CODE = (1, 2, 3, 4)  # intlat.signed_code of the 4x4 identity
 
 class GroupError(ValueError):
     pass
-
-
-def _norm_vec(v: Sequence) -> RatVector:
-    out = []
-    for x in v:
-        f = x if isinstance(x, Fraction) else Fraction(x)
-        floor = f.numerator // f.denominator
-        out.append(f - floor if floor else f)
-    return tuple(out)
 
 
 @lru_cache(maxsize=384)  # |B4|: every 4x4 signed permutation fits
@@ -90,9 +75,9 @@ class _Fractions(dict):
 
     Made for the residues in use, not for every k < D: D comes from outside.
     """
+    __slots__ = ("D",)
 
     def __init__(self, D: int):
-        super().__init__()
         self.D = D
 
     def __missing__(self, key):
@@ -101,31 +86,32 @@ class _Fractions(dict):
         return value
 
 
-def _element_fields(cycles: Cycles, t: Sequence[int], fractions: _Fractions) -> dict:
-    """The fields _scaled_b, _raw_offsets, _offsets, _theta_monomial of b = t/D.
+def _element_fields(cycles: Cycles, t: IntVector, fractions: _Fractions) -> dict:
+    """The fields sums, raw_offsets, offsets, theta_monomial of b = t/D.
 
-    D is fractions.D.  r_j = (t . u_j) mod D for the fixed component u_j of
-    each signed cycle with sign product +1, folded to min(r_j, D - r_j); the
-    folded pairs (d_j, r_j) sort on ints as their fractions would.
+    D is fractions.D.  s_j = t . u_j for the fixed component u_j of each
+    signed cycle with sign product +1, r_j = s_j mod D, folded to
+    min(r_j, D - r_j); the folded pairs (d_j, r_j) sort on ints as their
+    fractions would.
     """
     D = fractions.D
-    raw, pairs = [], []
+    sums, raw, pairs = [], [], []
     for orbit, eps in cycles:
         if eps == 1:
-            r = sum([t[a] if s > 0 else -t[a] for a, s in orbit]) % D
+            sums.append(sum([t[a] if s > 0 else -t[a] for a, s in orbit]))
+            r = sums[-1] % D
             raw.append(fractions[r])
             pairs.append((len(orbit), min(r, D - r)))
     ordered = sorted(pairs)
-    k = gcd(D, *t)
-    return {"_scaled_b": (D // k, tuple([x // k for x in t])),
-            "_raw_offsets": tuple(raw),
-            "_offsets": tuple([fractions[p] for p in pairs]),
-            "_theta_monomial": tuple([(fractions[p], ordered.count(p))
-                                      for p in dict.fromkeys(ordered)])}
+    return {"sums": tuple(sums),
+            "raw_offsets": tuple(raw),
+            "offsets": tuple([fractions[p] for p in pairs]),
+            "theta_monomial": tuple([(fractions[p], ordered.count(p))
+                                     for p in dict.fromkeys(ordered)])}
 
 
 class _Frozen:
-    """Read-only attributes; __init__, cached_property and build_group write vars(self)."""
+    """Read-only attributes, set through object.__setattr__; cached_property writes vars(self)."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -135,28 +121,31 @@ class _Frozen:
 
 
 class AffineIsometry(_Frozen):
-    """gamma = B L_b; compared and hashed by (B, b), b normalized to [0, 1)^4."""
+    """gamma = B L_b; compared and hashed by (B, b), b normalized to [0, 1)^n."""
 
     def __init__(self, B: IntMatrix, b: RatVector):
         code = intlat.signed_code(B)
         if code is None:
             raise GroupError("matrix part must be a signed permutation")
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "b", _norm_vec(b))
-        # kept in the instance dict, outside the compared and hashed fields
-        object.__setattr__(self, "_code", code)
-        object.__setattr__(self, "_cycle_invariants", _code_invariants(code)[1])
+        b = [x if isinstance(x, Fraction) else Fraction(x) for x in b]
+        D = lcm(*[x.denominator for x in b])
+        self._set(code, tuple([x.numerator * (D // x.denominator) % D for x in b]),
+                  _Fractions(D))
 
     @classmethod
-    def _from_code(cls, code: IntVector, b: RatVector) -> "AffineIsometry":
-        """The element (B, b) for a valid code of B and b already in [0, 1)^4."""
+    def _from_code(cls, code: IntVector, t: IntVector, fractions: _Fractions) -> "AffineIsometry":
+        """The element (B, t/D) for a valid code of B, t in [0, D)^n and D = fractions.D."""
         self = object.__new__(cls)
-        B, invariants = _code_invariants(code)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_code", code)
-        object.__setattr__(self, "_cycle_invariants", invariants)
+        self._set(code, t, fractions)
         return self
+
+    def _set(self, code: IntVector, t: IntVector, fractions: _Fractions) -> None:
+        B, invariants = _code_invariants(code)
+        # the fields B and b, then what is kept outside the compared and hashed fields
+        for name, value in (("B", B), ("b", tuple([fractions[x] for x in t])),
+                            ("_code", code), ("_t", t), ("_fractions", fractions),
+                            ("_cycle_invariants", invariants)):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -171,47 +160,36 @@ class AffineIsometry(_Frozen):
 
     @classmethod
     def make(cls, B: Sequence[Sequence[int]], b: Sequence) -> "AffineIsometry":
-        return cls(tuple(tuple(int(x) for x in row) for row in B), tuple(Fraction(x) for x in b))
+        return cls(tuple(tuple(int(x) for x in row) for row in B), b)
 
     @classmethod
     def identity(cls, n: int = 4) -> "AffineIsometry":
         return cls(intlat.identity(n), (Fraction(0),) * n)
 
     def __mul__(self, other: "AffineIsometry") -> "AffineIsometry":
-        M, t = code_compose(self._code, self.b, other._code, other.b)
-        return AffineIsometry._from_code(M, _norm_vec(t))
+        E, F = self._fractions.D, other._fractions.D
+        D = lcm(E, F)
+        M, t = code_compose(self._code, [x * (D // E) for x in self._t],
+                            other._code, [x * (D // F) for x in other._t])
+        fractions = self._fractions if D == E else _Fractions(D)
+        return AffineIsometry._from_code(M, tuple([x % D for x in t]), fractions)
 
     def inverse(self) -> "AffineIsometry":
         # (B^T, -B b)
-        newb = _norm_vec([-x for x in code_product(self._code, self.b)])
-        return AffineIsometry._from_code(code_inverse(self._code), newb)
-
-    def is_identity_matrix(self) -> bool:
-        return self._code == _IDENTITY_CODE
+        D = self._fractions.D
+        t = tuple([-x % D for x in code_product(self._code, self._t)])
+        return AffineIsometry._from_code(code_inverse(self._code), t, self._fractions)
 
     def apply(self, x: Sequence[Fraction]) -> RatVector:
         shifted = tuple(Fraction(xi) + bi for xi, bi in zip(x, self.b))
         return code_product(self._code, shifted)
 
     # -- invariants ----------------------------------------------------
-    # __init__ and _from_code keep the code's traces, fixed decomposition and
-    # signed cycles (_code_invariants) as _cycle_invariants.  build_group
-    # sets _scaled_b = (D, D*b) for D the lcm of the denominators of b, the
-    # unfolded component offsets _raw_offsets, and _offsets and
-    # _theta_monomial from the closure's integers; an element made on its
-    # own derives all four from b on first use
 
-    def _fields_from_b(self) -> dict:
-        D = lcm(*(x.denominator for x in self.b))
-        fields = _element_fields(self.cycles(), [x.numerator * (D // x.denominator)
-                                                 for x in self.b], _Fractions(D))
-        vars(self).update(fields)
-        return fields
-
-    _scaled_b = cached_property(lambda self: self._fields_from_b()["_scaled_b"])
-    _raw_offsets = cached_property(lambda self: self._fields_from_b()["_raw_offsets"])
-    _offsets = cached_property(lambda self: self._fields_from_b()["_offsets"])
-    _theta_monomial = cached_property(lambda self: self._fields_from_b()["_theta_monomial"])
+    @cached_property
+    def _fields(self) -> dict:
+        """_element_fields of the ints, computed the first time a field is read."""
+        return _element_fields(self.cycles(), self._t, self._fractions)
 
     def decomposition(self) -> FixedDecomposition:
         return self._cycle_invariants[1]
@@ -229,7 +207,7 @@ class AffineIsometry(_Frozen):
         r_i = (b . u_i) mod 1 folded into [0, 1/2]; r and 1 - r give the same
         theta value and the same squared length set.
         """
-        return self._offsets
+        return self._fields["offsets"]
 
     def theta_monomial(self) -> tuple[tuple[tuple[int, Fraction], int], ...]:
         """The sorted ((d, r), exponent) pairs of prod_i z_{d_i, r_i}.
@@ -237,15 +215,15 @@ class AffineIsometry(_Frozen):
         It does not depend on the form degree p; it equals
         theta.monomial(((d, r), 1) for d, r in self.translation_offsets()).
         """
-        return self._theta_monomial
+        return self._fields["theta_monomial"]
 
     def is_fixed_point_free(self) -> bool:
-        """True when no translate B L_{b + lambda} fixes a point of R^4.
+        """True when no translate B L_{b + lambda} fixes a point of R^n.
 
         Equivalent to some component offset of b being nonintegral, i.e. the
         minimal squared displacement on the fixed space is positive.
         """
-        return not self.is_identity_matrix() and any(self._raw_offsets)
+        return any(self._fields["raw_offsets"])
 
 
 class BieberbachGroup(_Frozen):
@@ -308,8 +286,8 @@ def build_group(generators: Sequence[AffineIsometry], name: str = "",
         if len(g.B) != 4 or len(g.b) != 4:
             raise GroupError(f"generator {k} has a {len(g.B)}x{len(g.B)} matrix and "
                              f"{len(g.b)} translation entries; expected 4x4 and 4")
-    D = lcm(*(x.denominator for g in gens for x in g.b))
-    scaled = [(g._code, [x.numerator * (D // x.denominator) for x in g.b]) for g in gens]
+    D = lcm(*(g._fractions.D for g in gens))
+    scaled = [(g._code, [x * (D // g._fractions.D) for x in g._t]) for g in gens]
     # code -> D * translation mod D of the first representative found
     elements = {_IDENTITY_CODE: [0] * 4}
     consistent = True
@@ -344,14 +322,9 @@ def build_group(generators: Sequence[AffineIsometry], name: str = "",
     codes.remove(_IDENTITY_CODE)
     holonomy = []
     for M in [_IDENTITY_CODE, *codes]:
-        t = elements[M]
-        g = AffineIsometry._from_code(M, tuple([fractions[x] for x in t]))
-        fields = _element_fields(g.cycles(), t, fractions)
-        # a nontrivial element is fixed-point free iff some component offset
-        # of b is nonintegral
-        if M != _IDENTITY_CODE and not any(fields["_raw_offsets"]):
+        g = AffineIsometry._from_code(M, tuple(elements[M]), fractions)
+        if M != _IDENTITY_CODE and not g.is_fixed_point_free():
             raise GroupError(f"not torsion-free: element with matrix {g.B} fixes a point")
-        vars(g).update(fields)
         holonomy.append(g)
     meta = dict(metadata or {})
     meta.setdefault("translation_consistent", consistent)
@@ -397,11 +370,11 @@ def sunada_numbers(G: BieberbachGroup) -> dict[tuple[int, int], int]:
         raise GroupError("Sunada numbers need a diagonal-type group")
     counts = {(d, t): 0 for d in range(1, 5) for t in range(0, d + 1)}
     for g in G.nontrivial():
-        D, t = g._scaled_b
-        fixed = [2 * t[i] for i in range(4) if g.B[i][i] == 1]  # 2*D*b_i: 0 or D
-        if any(x not in (0, D) for x in fixed):
+        # one d = 1 component per +1 diagonal entry; its folded offset is 0 or 1/2
+        dens = [r.denominator for _, r in g.translation_offsets()]
+        if any(x > 2 for x in dens):
             raise GroupError("diagonal group with offsets outside {0, 1/2}")
-        counts[(len(fixed), fixed.count(D))] += 1
+        counts[(len(dens), dens.count(2))] += 1
     return counts
 
 

@@ -24,12 +24,13 @@ per coset.  By Burnside's lemma the classes of a given length are the states
 of that length each element fixes, averaged over Z_F(B); abelian holonomy is
 the case Z_F(B) = F.
 
-A coset's geometry is read from its holonomy element, whose code, signed
-cycles, fixed decomposition and integer translation (D, D*b) are computed
-once per element (group.AffineIsometry).  Everything runs on ints: squared
-lengths times W D^2 (W the lcm of the d_j) and translations times D, or
-times the lcm of two cosets' D to conjugate one by the other.  Only the
-returned squared lengths become Fractions.
+A coset's geometry is read from its holonomy element (group.AffineIsometry):
+its code and signed cycles, the closure's integer translation D*b (D the
+group's closure denominator) and the per-cycle sums s_j D = D*b . u_j, with
+d_j the length of the j-th cycle of sign product +1.  Everything runs on
+ints: squared lengths times W D^2 (W the lcm of the d_j) and translations
+times D, or times the lcm of two cosets' D to conjugate one by the other.
+Only the returned squared lengths become Fractions.
 """
 from __future__ import annotations
 
@@ -52,23 +53,20 @@ class CosetGeometry(NamedTuple):
     """The data of one coset B L_{b + Z^4}, translations scaled by D."""
 
     code: IntVector                   # intlat.signed_code of B
-    D: int                            # lcm of the denominators of b
+    D: int                            # the group's closure denominator
     t: IntVector                      # D*b
-    units: tuple[IntVector, ...]      # disjoint-support fixed components u_j
     ds: tuple[int, ...]               # component norms d_j
-    sD: tuple[int, ...]               # raw offsets D*(b.u_j)
+    sD: tuple[int, ...]               # per-cycle sums D*b . u_j, unreduced
     cycles: Cycles                    # signed cycles of B, one state coordinate each
 
 
 def coset_geometry(g: AffineIsometry) -> CosetGeometry:
     """The coset of the holonomy element g, read from its cached invariants."""
-    comps = g.decomposition().components
-    if not comps:
+    sums, cycles = g._fields["sums"], g.cycles()
+    if not sums:
         raise LengthError("element with empty fixed lattice is not torsion-free")
-    D, t = g._scaled_b
-    units = tuple(c.vector for c in comps)
-    sD = tuple(sum([x * u for x, u in zip(t, unit) if u]) for unit in units)
-    return CosetGeometry(g._code, D, t, units, tuple(c.d for c in comps), sD, g.cycles())
+    return CosetGeometry(g._code, g._fractions.D, g._t,
+                         tuple([len(orbit) for orbit, eps in cycles if eps == 1]), sums, cycles)
 
 
 # -- squared length values -------------------------------------------------

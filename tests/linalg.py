@@ -1,6 +1,5 @@
 """Generic matrix and Fraction arithmetic: oracles for the integer engine in flat4spec."""
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from flat4spec.intlat import IntMatrix, IntVector, decompose_fixed, identity, smith_normal_form
@@ -68,16 +67,27 @@ def raw_offsets_oracle(v: Sequence, dec) -> tuple[Fraction, ...]:
 
 
 def element_oracle(B: IntMatrix, b: Sequence) -> tuple:
-    """The per-element invariants of (B, b), b in [0, 1)^4, on Fractions.
+    """The per-element invariants of (B, b) on Fractions, b taken mod 1.
 
-    ((D, D*b), raw offsets, folded offsets, theta monomial, fixed-point free)
-    with D the lcm of the denominators of b, from decompose_fixed(B).
+    (b mod 1, unreduced sums b . u_i, raw offsets, folded offsets, theta
+    monomial, fixed-point free) from decompose_fixed(B).
     """
-    b = tuple(Fraction(x) for x in b)
-    D = lcm(*(x.denominator for x in b))
+    b = tuple(Fraction(x) % 1 for x in b)
     dec = decompose_fixed(B)
     raw = raw_offsets_oracle(b, dec)
-    return ((D, tuple(int(x * D) for x in b)), raw,
+    return (b, tuple(sum(x * u for x, u in zip(b, c.vector)) for c in dec.components), raw,
             tuple((c.d, min(r, 1 - r)) for c, r in zip(dec.components, raw)),
             monomial(((c.d, r), 1) for c, r in zip(dec.components, raw)),
-            B != identity(len(B)) and any(raw))
+            any(raw))
+
+
+def element_fields(g) -> tuple:
+    """The fields an element keeps, as element_oracle states them.
+
+    Also checks that b = t/D for the element's ints t in [0, D)^n.
+    """
+    D, t = g._fractions.D, g._t
+    assert all(0 <= x < D for x in t) and g.b == tuple(Fraction(x, D) for x in t), g
+    fields = g._fields
+    return (g.b, tuple(Fraction(s, D) for s in fields["sums"]), fields["raw_offsets"],
+            g.translation_offsets(), g.theta_monomial(), g.is_fixed_point_free())

@@ -78,6 +78,36 @@ def test_corrupted_translation_is_reported(tmp_path):
         load_catalog(_write(tmp_path, data))
 
 
+@pytest.mark.parametrize("gid, label, message", [
+    ("7", "Z2", "holonomy mismatch: stored Z2, computed element orders {1: 1, 2: 3}"),
+    # Z4 and Z2^2 have the same order; their element orders differ
+    ("7", "Z4", "holonomy mismatch: stored Z4, computed element orders {1: 1, 2: 3}"),
+    ("45", "Z2^2", "holonomy mismatch: stored Z2^2, computed element orders "
+                   "{1: 1, 2: 1, 4: 2}"),
+    ("2", "Q8", "unknown holonomy 'Q8'; known: 1, Z2, Z3, Z4, Z2^2, Z6, D3, Z2^3, Z2xZ4, D4"),
+    ("2", ["Z2"], "unknown holonomy ['Z2']; known: 1, Z2, Z3, Z4, Z2^2, Z6, D3, Z2^3, Z2xZ4, D4"),
+])
+def test_wrong_holonomy_label_is_reported(tmp_path, capsys, gid, label, message):
+    data = _base_data()
+    entry = next(e for e in data["entries"] if e["id"] == gid)
+    entry["holonomy"] = label
+    path = _write(tmp_path, data)
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(path)
+    assert str(exc.value) == f"invalid catalog entries: {gid}: {message}"
+    assert cli.main(["--catalog", path, "validate"]) == 1
+    assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+
+
+def test_every_catalog_label_has_its_own_element_orders(catalog):
+    # the check tells every pair of labels apart, so it cannot pass a swap
+    profiles = catalog_module._ORDER_COUNTS
+    assert len({tuple(sorted(c.items())) for c in profiles.values()}) == len(profiles) == 10
+    assert {e.holonomy for e in catalog} == set(profiles)
+    for entry in catalog:
+        assert sum(profiles[entry.holonomy].values()) == entry.group.order, entry.id
+
+
 def test_duplicate_ids_are_reported(tmp_path):
     data = _base_data()
     data["entries"].append(dict(data["entries"][1]))

@@ -16,7 +16,8 @@ from flat4spec.group import (MAX_HOLONOMY_ORDER, AffineIsometry, GroupError,
 from flat4spec.intlat import identity
 from flat4spec.theta import heat_trace_poly
 
-from linalg import det, element_oracle, kernel_basis, mat_mul, mat_sub, mat_vec, transpose
+from linalg import (det, element_fields, element_oracle, kernel_basis, mat_mul, mat_sub,
+                    mat_vec, transpose)
 
 ALL_SIGNED_PERMS = [
     tuple(tuple(signs[i] if perm[i] == j else 0 for j in range(4)) for i in range(4))
@@ -88,6 +89,18 @@ def test_torsion_is_rejected():
             "(0, 0, 1, 0), (0, 0, 0, 1)) fixes a point")
 
 
+@pytest.mark.parametrize("n", (3, 4))
+def test_pure_translation_is_fixed_point_free(n):
+    # a nonintegral translation moves every point, in any dimension; an
+    # integral one is the identity mod Z^n and fixes every point
+    half = (Fraction(1, 2),) + (Fraction(0),) * (n - 1)
+    g = AffineIsometry(identity(n), half)
+    assert g.is_fixed_point_free()
+    assert element_fields(g) == element_oracle(identity(n), half)
+    assert not AffineIsometry(identity(n), (1,) + (0,) * (n - 1)).is_fixed_point_free()
+    assert not AffineIsometry.identity(n).is_fixed_point_free()
+
+
 def test_closure_bound():
     # B4 has order 384 > MAX_HOLONOMY_ORDER
     gens = [iso(FOUR_CYCLE, [0, 0, 0, 0]), iso(diag(-1, 1, 1, 1), [0, 0, 0, 0])]
@@ -121,18 +134,44 @@ def test_product_matches_generic_formula():
 
 def test_code_arithmetic_matches_matrix_oracle(catalog):
     # products, inverses and the action on points run on signed-permutation
-    # codes; check them on every pair of holonomy elements of every group
-    pairs = 0
+    # codes and integer translations; check them, and every field of the
+    # result, on every pair of holonomy elements of every group
+    products = inverses = 0
     for entry in catalog:
         for g in entry.group.holonomy:
             inv = g.inverse()
             assert (inv.B, inv.b) == (transpose(g.B), tuple(-x % 1 for x in mat_vec(g.B, g.b)))
+            assert element_fields(inv) == element_oracle(inv.B, inv.b), (entry.id, g)
+            inverses += 1
             for h in entry.group.holonomy:
                 got = g * h
                 assert (got.B, got.b) == _generic_product((g.B, g.b), (h.B, h.b)), (g, h)
+                assert element_fields(got) == element_oracle(got.B, got.b), (entry.id, g, h)
                 assert g.apply(h.b) == mat_vec(g.B, tuple(x + y for x, y in zip(h.b, g.b)))
-                pairs += 1
-    assert pairs == sum(entry.group.order ** 2 for entry in catalog)
+                products += 1
+    assert products == sum(entry.group.order ** 2 for entry in catalog) == 2011
+    assert inverses == 359
+
+
+@given(data=st.data())
+def test_products_and_inverses_match_oracle_on_random_generators(data):
+    # each generator has its own denominator D <= 12, so a product of two
+    # scales both translations to the lcm of their D
+    def translation(den):
+        return st.tuples(*(st.integers(-2 * den, 2 * den).map(lambda k: Fraction(k, den))
+                           for _ in range(4)))
+
+    gens = data.draw(st.lists(st.builds(AffineIsometry, signed_perms,
+                                        st.integers(1, 12).flatmap(translation)),
+                              min_size=1, max_size=3))
+    for g in gens:
+        assert element_fields(g) == element_oracle(g.B, g.b), g
+        inv = g.inverse()
+        assert element_fields(inv) == \
+            element_oracle(transpose(g.B), [-x for x in mat_vec(g.B, g.b)]), g
+        for h in gens:
+            assert element_fields(g * h) == \
+                element_oracle(*_generic_product((g.B, g.b), (h.B, h.b))), (g, h)
 
 
 def test_products_and_inverses_make_no_matrix_check(catalog, monkeypatch):
@@ -182,7 +221,7 @@ def _closure_oracle(generators, two_sided=True):
                     consistent = False
     rest = sorted(x for x in elements.values() if x != ident)
     for B, b in rest:
-        if not element_oracle(B, b)[4]:
+        if not element_oracle(B, b)[-1]:
             return f"not torsion-free: element with matrix {B} fixes a point"
     return (ident, *rest), consistent
 
@@ -193,12 +232,6 @@ def _closure(generators):
     except GroupError as exc:
         return str(exc)
     return tuple((g.B, g.b) for g in G.holonomy), G.metadata["translation_consistent"]
-
-
-def _element_fields(g):
-    """What build_group derives per element from the closure's integers."""
-    return (g._scaled_b, g._raw_offsets, g.translation_offsets(), g.theta_monomial(),
-            g.is_fixed_point_free())
 
 
 def test_closure_matches_oracle_on_catalog(catalog):
@@ -213,7 +246,7 @@ def test_element_fields_match_fraction_oracle(catalog):
     elements = 0
     for entry in catalog:
         for g in entry.group.holonomy:
-            assert _element_fields(g) == element_oracle(g.B, g.b), (entry.id, g)
+            assert element_fields(g) == element_oracle(g.B, g.b), (entry.id, g)
             elements += 1
     assert elements == 359
 
@@ -231,7 +264,7 @@ def test_closure_matches_oracle_on_random_generators(den, data):
     except GroupError:
         return
     for g in G.holonomy:
-        assert _element_fields(g) == element_oracle(g.B, g.b), g
+        assert element_fields(g) == element_oracle(g.B, g.b), g
 
 
 # Generator sets, as (signed-permutation code, 5*b) pairs, on which a closure

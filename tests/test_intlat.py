@@ -9,8 +9,8 @@ from flat4spec.group import AffineIsometry
 from flat4spec.intlat import (LatticeError, decompose_fixed, identity, signed_code,
                               smith_normal_form)
 
-from linalg import (det, element_oracle, fixed_lattice_basis, kernel_basis, mat_mul, mat_sub,
-                    mat_vec, raw_offsets_oracle, transpose)
+from linalg import (det, element_fields, element_oracle, fixed_lattice_basis, kernel_basis,
+                    mat_mul, mat_sub, mat_vec, raw_offsets_oracle, transpose)
 
 small_matrices = st.lists(
     st.lists(st.integers(min_value=-6, max_value=6), min_size=3, max_size=3),
@@ -97,7 +97,7 @@ def test_project_fixed_folds_offsets():
     assert [c.d for c in dec.components] == [1, 1, 2]
     v = (Fraction(3, 4), Fraction(1, 2), Fraction(1, 4), Fraction(1, 2))
     g = AffineIsometry(B, v)
-    assert g._raw_offsets == raw_offsets_oracle(v, dec) == \
+    assert g._fields["raw_offsets"] == raw_offsets_oracle(v, dec) == \
         (Fraction(3, 4), Fraction(1, 2), Fraction(3, 4))
     # folding sends 3/4 to 1/4 and the pair sum 3/4 to 1/4
     assert g.translation_offsets() == \
@@ -174,9 +174,8 @@ def test_raw_offsets_match_fraction_oracle(den, data):
         dec = decompose_fixed(B)
         want = raw_offsets_oracle(v, dec)
         g = AffineIsometry(B, v)
-        assert g._raw_offsets == want, (B, v)
+        assert g._fields["raw_offsets"] == want, (B, v)
         assert g.translation_offsets() == \
             tuple((c.d, min(r, 1 - r)) for c, r in zip(dec.components, want)), (B, v)
         # an element made on its own: every field from its own scaled translation
-        assert (g._scaled_b, g._raw_offsets, g.translation_offsets(), g.theta_monomial(),
-                g.is_fixed_point_free()) == element_oracle(B, g.b), (B, v)
+        assert element_fields(g) == element_oracle(B, v), (B, v)

@@ -199,10 +199,10 @@ def test_equal_heat_trace_supports_give_equal_length_sets(catalog):
 def test_coset_geometry_components(catalog):
     g = catalog.group("2").generators[0]
     geo = coset_geometry(g)
-    assert len(geo.units) == len(geo.ds) == len(geo.sD)
+    assert len(g.decomposition().components) == len(geo.ds) == len(geo.sD)
     # one state coordinate per signed cycle: Z for each fixed component,
     # Z/2 for each cycle with sign product -1
-    assert len(geo.cycles) == len(geo.units) + sum(1 for _, eps in geo.cycles if eps == -1)
+    assert len(geo.cycles) == len(geo.ds) + sum(1 for _, eps in geo.cycles if eps == -1)
     assert [len(orbit) for orbit, eps in geo.cycles if eps == 1] == list(geo.ds)
 
 
@@ -402,12 +402,16 @@ def test_class_counts_match_orbit_walk_oracle(catalog):
 
 
 def test_coset_geometry_matches_oracle(catalog):
-    # the integer offsets and translation read from each holonomy element
-    # agree with the Fraction geometry rebuilt from its bare (B, b)
+    # the integer sums and translation read from each holonomy element agree
+    # with the Fraction geometry rebuilt from its bare (B, b); D is the
+    # group's closure denominator, the lcm of the generators' denominators
     for entry in catalog:
+        D = lcm(*(x.denominator for h in entry.group.generators for x in h.b))
         for g in entry.group.holonomy:
             geo, want = coset_geometry(g), _coset_geometry_oracle(g.B, g.b)
+            assert geo.D == D and all(0 <= x < D for x in geo.t), (entry.id, g.B)
             assert [F(x, geo.D) for x in geo.sD] == list(want.s), (entry.id, g.B)
             assert [F(x, geo.D) for x in geo.t] == list(want.b), (entry.id, g.B)
-            assert (geo.code, geo.units, geo.ds, geo.cycles) == \
-                (signed_code(g.B), want.units, want.ds, want.cycles), (entry.id, g.B)
+            # d_j is the length of the j-th cycle with sign product +1
+            assert (geo.code, geo.ds, geo.cycles) == \
+                (signed_code(g.B), want.ds, want.cycles), (entry.id, g.B)

@@ -172,7 +172,8 @@ def test_per_element_caches_live_in_the_instance_dict(catalog):
     g = catalog.group("2").holonomy[1]
     g.traces()
     g.theta_monomial()
-    assert {"_code", "_cycle_invariants", "_theta_monomial"} <= set(vars(g))
+    assert {"_code", "_t", "_fractions", "_cycle_invariants", "_fields"} <= set(vars(g))
+    assert vars(g)["_fields"]["theta_monomial"] is g.theta_monomial()
     hash(catalog.group("2"))
     assert "_value_hash" in vars(catalog.group("2"))
 
