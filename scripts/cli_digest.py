@@ -36,6 +36,9 @@ def commands() -> list[list[str]]:
              for bound in ("3", "1/2", "1/16")]
     cmds += [["zeta", gid] for gid in ids]
     cmds += [["invariants", "--json", gid] for gid in ids]
+    cmds += [["invariants", gid] for gid in ids]
+    cmds += [["classify", "--mode", mode] for mode in MODES if mode != "bracketL"]
+    cmds.append(["classify", "--mode", "bracketL", "--bound", "1/2"])
     cmds.append(["spectrum", "42", "--max-mu", "40"])
     return cmds
 

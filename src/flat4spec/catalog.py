@@ -5,9 +5,11 @@ The default catalog ships as data/catalog.json (77 entries: the torus plus
 path of an alternative JSON file to override it.
 
 Loading revalidates every entry: the generators must close to a torsion-free
-group, and the stored Betti numbers, orientability, diagonal-type flag, (for
-diagonal type) Sunada numbers and holonomy label (by its count of elements of
-each order) must match recomputation.  Validation failures raise CatalogError
+group, and the stored Betti numbers, orientability, diagonal-type flag,
+translation-consistency flag (absent means true), Sunada numbers and holonomy
+label (by its count of elements of each order) must match recomputation.  The
+three flags must be JSON booleans, and only a diagonal-type entry may store
+Sunada numbers, computed or printed.  Validation failures raise CatalogError
 listing the offending entry ids.
 """
 from __future__ import annotations
@@ -20,8 +22,8 @@ from math import lcm
 from pathlib import Path
 from typing import NamedTuple
 
-from .group import (AffineIsometry, BieberbachGroup, GroupError, betti,
-                    build_group, is_diagonal_type, is_orientable, sunada_tuple)
+from .group import (AffineIsometry, BieberbachGroup, GroupError, betti, build_group,
+                    check_shape, is_diagonal_type, is_orientable, sunada_tuple)
 from .intlat import Cycles
 
 ENV_VAR = "FLAT4SPEC_CATALOG"
@@ -112,8 +114,9 @@ def _entry_group(raw: dict, parsed: dict[str, Fraction]) -> BieberbachGroup:
                 if type(x) is not int:  # bool is an int subclass; a float is not exact
                     raise CatalogError(f"generator {k} matrix entries must be integers, "
                                        f"not {x!r}")
-        gens.append(AffineIsometry(matrix, [_translation_entry(x, k, parsed)
-                                            for x in g["translation"]]))
+        translation = [_translation_entry(x, k, parsed) for x in g["translation"]]
+        check_shape(k, matrix, translation)
+        gens.append(AffineIsometry(matrix, translation))
     return build_group(gens, name=raw["id"], metadata={"table": raw.get("table", "")})
 
 
@@ -121,18 +124,27 @@ def _validate_entry(raw: dict, parsed: dict[str, Fraction]) -> CatalogEntry:
     for key in ("id", "holonomy", "generators", "betti", "orientable", "diagonal"):
         if key not in raw:
             raise CatalogError(f"missing field {key!r}")
+    flags = {"orientable": raw["orientable"], "diagonal": raw["diagonal"],
+             "translation_consistent": raw.get("translation_consistent", True)}
+    for key, value in flags.items():
+        if type(value) is not bool:
+            raise CatalogError(f"{key} must be a JSON boolean, not {value!r}")
     G = _entry_group(raw, parsed)
     computed_beta = (betti(G, 1), betti(G, 2))
     if computed_beta != tuple(raw["betti"]):
         raise CatalogError(
             f"betti mismatch: stored {raw['betti']}, computed {list(computed_beta)}"
         )
-    if is_orientable(G) != bool(raw["orientable"]):
+    if is_orientable(G) != flags["orientable"]:
         raise CatalogError("orientability mismatch")
     diagonal = is_diagonal_type(G)
-    if diagonal != bool(raw["diagonal"]):
+    if diagonal != flags["diagonal"]:
         raise CatalogError("diagonal-type mismatch")
+    if G.metadata["translation_consistent"] != flags["translation_consistent"]:
+        raise CatalogError("translation-consistency mismatch")
     sunada = sunada_printed = None
+    if not diagonal and ("sunada" in raw or "sunada_printed" in raw):
+        raise CatalogError("Sunada numbers stored for a nondiagonal group")
     if diagonal:
         sunada = sunada_tuple(G)
         if "sunada" in raw and tuple(raw["sunada"]) != sunada:
@@ -157,7 +169,7 @@ def _validate_entry(raw: dict, parsed: dict[str, Fraction]) -> CatalogEntry:
         group=G,
         betti=computed_beta,
         betti_printed=tuple(raw.get("betti_printed", raw["betti"])),
-        orientable=bool(raw["orientable"]),
+        orientable=flags["orientable"],
         diagonal=diagonal,
         sunada=sunada,
         sunada_printed=sunada_printed,

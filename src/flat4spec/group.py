@@ -8,20 +8,20 @@ Composition follows from the action:
     (B, b) * (B', b') = (B B', B'^T b + b')      (translation part mod Z^4)
 
 Every element is set up in one place, `AffineIsometry._set`, from the
-signed-permutation code of B (intlat.signed_code), ints t in [0, D)^4 with
+signed-permutation code of B (intlat.signed_code), ints t in [0, D)^n with
 b = t/D, and a table of the fractions k/D (`_Fractions`).  `__init__` checks
-the matrix once and turns b into ints, D the lcm of its denominators;
-`_from_code` skips the check for a known code.  Products and inverses run on
-codes and ints through intlat.code_compose.  `build_group` closes the
-generators with D the lcm of theirs, inlining an in-place version of that
-rule, and gives every holonomy element the group's one table.  It refuses
-generators that are not 4x4 with 4 translation entries.
+the matrix and that b has one entry per row, then turns b into ints, D the
+lcm of its denominators; `_from_code` skips the checks for a known code.
+Products and inverses run on codes and ints through intlat.code_compose, and
+so does `build_group`: it closes the generators under that one rule, mod D
+the lcm of theirs, and gives every holonomy element the group's one table.
+It refuses generators that are not 4x4 with 4 translation entries.
 
-`_element_fields` computes the other per-element fields from the ints, all
-at once, the first time one is read: the sum s_j = t . u_j per fixed
-component u_j, r_j = s_j mod D (a nontrivial element fixes a point iff every
-r_j is 0), and the folded offsets min(r_j, D - r_j), counted into the theta
-monomial.  Offsets become `Fraction`s last, through the table.
+`_set` also computes every other per-element field from the ints, so an
+element is complete when it is made: the sum s_j = t . u_j per fixed
+component u_j (a nontrivial element fixes a point iff every s_j is 0 mod D),
+and the folded offsets min(r_j, D - r_j) of r_j = s_j mod D, counted into the
+theta monomial.  Offsets become `Fraction`s last, through the table.
 
 The matrix, the p-form traces, the fixed decomposition and the signed cycles
 of a code come from one walk over its cycles (intlat.code_cycles), memoised
@@ -33,9 +33,9 @@ pass; heat traces and classification read it.
 
 `AffineIsometry` and `BieberbachGroup` are read-only: assignment and deletion
 raise AttributeError, and equality and hash read only (B, b) or (name,
-generators, holonomy).  The code, the ints, the cached values above, a
-group's trace-sum table and its cached hash are kept in the instance, outside
-the compared and hashed fields.
+generators, holonomy).  The code, the ints, the fields above and a group's
+trace-sum table are kept in the instance, outside the compared and hashed
+fields.
 """
 from __future__ import annotations
 
@@ -86,32 +86,8 @@ class _Fractions(dict):
         return value
 
 
-def _element_fields(cycles: Cycles, t: IntVector, fractions: _Fractions) -> dict:
-    """The fields sums, raw_offsets, offsets, theta_monomial of b = t/D.
-
-    D is fractions.D.  s_j = t . u_j for the fixed component u_j of each
-    signed cycle with sign product +1, r_j = s_j mod D, folded to
-    min(r_j, D - r_j); the folded pairs (d_j, r_j) sort on ints as their
-    fractions would.
-    """
-    D = fractions.D
-    sums, raw, pairs = [], [], []
-    for orbit, eps in cycles:
-        if eps == 1:
-            sums.append(sum([t[a] if s > 0 else -t[a] for a, s in orbit]))
-            r = sums[-1] % D
-            raw.append(fractions[r])
-            pairs.append((len(orbit), min(r, D - r)))
-    ordered = sorted(pairs)
-    return {"sums": tuple(sums),
-            "raw_offsets": tuple(raw),
-            "offsets": tuple([fractions[p] for p in pairs]),
-            "theta_monomial": tuple([(fractions[p], ordered.count(p))
-                                     for p in dict.fromkeys(ordered)])}
-
-
 class _Frozen:
-    """Read-only attributes, set through object.__setattr__; cached_property writes vars(self)."""
+    """Read-only attributes, set through object.__setattr__ (`trace_table` writes vars(self))."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -128,6 +104,9 @@ class AffineIsometry(_Frozen):
         if code is None:
             raise GroupError("matrix part must be a signed permutation")
         b = [x if isinstance(x, Fraction) else Fraction(x) for x in b]
+        if len(b) != len(B):
+            raise GroupError(f"a {len(B)}x{len(B)} matrix needs {len(B)} translation "
+                             f"entries, not {len(b)}")
         D = lcm(*[x.denominator for x in b])
         self._set(code, tuple([x.numerator * (D // x.denominator) % D for x in b]),
                   _Fractions(D))
@@ -141,10 +120,22 @@ class AffineIsometry(_Frozen):
 
     def _set(self, code: IntVector, t: IntVector, fractions: _Fractions) -> None:
         B, invariants = _code_invariants(code)
+        # s_j = t . u_j per signed cycle of sign product +1; the folded pairs
+        # (d_j, min(r_j, D - r_j)) sort on ints as their fractions would
+        D, sums, pairs = fractions.D, [], []
+        for orbit, eps in invariants[2]:
+            if eps == 1:
+                sums.append(sum([t[a] if s > 0 else -t[a] for a, s in orbit]))
+                r = sums[-1] % D
+                pairs.append((len(orbit), min(r, D - r)))
+        ordered = sorted(pairs)
         # the fields B and b, then what is kept outside the compared and hashed fields
         for name, value in (("B", B), ("b", tuple([fractions[x] for x in t])),
                             ("_code", code), ("_t", t), ("_fractions", fractions),
-                            ("_cycle_invariants", invariants)):
+                            ("_cycle_invariants", invariants), ("_sums", tuple(sums)),
+                            ("_offsets", tuple([fractions[p] for p in pairs])),
+                            ("_theta_monomial", tuple([(fractions[p], ordered.count(p))
+                                                       for p in dict.fromkeys(ordered)]))):
             object.__setattr__(self, name, value)
 
     def __eq__(self, other):
@@ -186,11 +177,6 @@ class AffineIsometry(_Frozen):
 
     # -- invariants ----------------------------------------------------
 
-    @cached_property
-    def _fields(self) -> dict:
-        """_element_fields of the ints, computed the first time a field is read."""
-        return _element_fields(self.cycles(), self._t, self._fractions)
-
     def decomposition(self) -> FixedDecomposition:
         return self._cycle_invariants[1]
 
@@ -207,7 +193,7 @@ class AffineIsometry(_Frozen):
         r_i = (b . u_i) mod 1 folded into [0, 1/2]; r and 1 - r give the same
         theta value and the same squared length set.
         """
-        return self._fields["offsets"]
+        return self._offsets
 
     def theta_monomial(self) -> tuple[tuple[tuple[int, Fraction], int], ...]:
         """The sorted ((d, r), exponent) pairs of prod_i z_{d_i, r_i}.
@@ -215,7 +201,7 @@ class AffineIsometry(_Frozen):
         It does not depend on the form degree p; it equals
         theta.monomial(((d, r), 1) for d, r in self.translation_offsets()).
         """
-        return self._fields["theta_monomial"]
+        return self._theta_monomial
 
     def is_fixed_point_free(self) -> bool:
         """True when no translate B L_{b + lambda} fixes a point of R^n.
@@ -223,7 +209,8 @@ class AffineIsometry(_Frozen):
         Equivalent to some component offset of b being nonintegral, i.e. the
         minimal squared displacement on the fixed space is positive.
         """
-        return any(self._fields["raw_offsets"])
+        D = self._fractions.D
+        return any(s % D for s in self._sums)
 
 
 class BieberbachGroup(_Frozen):
@@ -237,10 +224,6 @@ class BieberbachGroup(_Frozen):
         object.__setattr__(self, "holonomy", holonomy)
         object.__setattr__(self, "metadata", {} if metadata is None else metadata)
 
-    @cached_property
-    def _value_hash(self) -> int:
-        return hash((self.name, self.generators, self.holonomy))
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -248,8 +231,7 @@ class BieberbachGroup(_Frozen):
                 == (other.name, other.generators, other.holonomy))
 
     def __hash__(self) -> int:
-        # hashed by value, once: per-group caches key on the group
-        return self._value_hash
+        return hash((self.name, self.generators, self.holonomy))
 
     def __repr__(self) -> str:
         return (f"{self.__class__.__qualname__}(name={self.name!r}, "
@@ -278,14 +260,19 @@ class BieberbachGroup(_Frozen):
         return self.holonomy[1:]
 
 
+def check_shape(k: int, B: Sequence, b: Sequence) -> None:
+    """Refuse generator k unless its matrix B is 4x4 and its translation b has 4 entries."""
+    if len(B) != 4 or len(b) != 4:
+        raise GroupError(f"generator {k} has a {len(B)}x{len(B)} matrix and "
+                         f"{len(b)} translation entries; expected 4x4 and 4")
+
+
 def build_group(generators: Sequence[AffineIsometry], name: str = "",
                 metadata: dict | None = None) -> BieberbachGroup:
     """Close the generators modulo Z^4 and validate the Bieberbach conditions."""
     gens = tuple(generators)
     for k, g in enumerate(gens, 1):
-        if len(g.B) != 4 or len(g.b) != 4:
-            raise GroupError(f"generator {k} has a {len(g.B)}x{len(g.B)} matrix and "
-                             f"{len(g.b)} translation entries; expected 4x4 and 4")
+        check_shape(k, g.B, g.b)
     D = lcm(*(g._fractions.D for g in gens))
     scaled = [(g._code, [x * (D // g._fractions.D) for x in g._t]) for g in gens]
     # code -> D * translation mod D of the first representative found
@@ -295,15 +282,9 @@ def build_group(generators: Sequence[AffineIsometry], name: str = "",
     for cur in frontier:  # breadth-first: the loop reaches what it appends
         a = elements[cur]
         for B, b in scaled:
-            # cur * g, then g * cur: (L, x) * (R, y) = (L R, R^T x + y)
-            for L, x, R, y in ((cur, a, B, b), (B, b, cur, a)):
-                t = y.copy()
-                for xi, c in zip(x, R):
-                    if c > 0:
-                        t[c - 1] = (t[c - 1] + xi) % D
-                    else:
-                        t[-c - 1] = (t[-c - 1] - xi) % D
-                M = code_product(L, R)
+            # cur * g, then g * cur
+            for M, t in (code_compose(cur, a, B, b), code_compose(B, b, cur, a)):
+                t = [x % D for x in t]
                 first = elements.get(M)
                 if first is None:
                     if len(elements) >= MAX_HOLONOMY_ORDER:
@@ -326,8 +307,7 @@ def build_group(generators: Sequence[AffineIsometry], name: str = "",
         if M != _IDENTITY_CODE and not g.is_fixed_point_free():
             raise GroupError(f"not torsion-free: element with matrix {g.B} fixes a point")
         holonomy.append(g)
-    meta = dict(metadata or {})
-    meta.setdefault("translation_consistent", consistent)
+    meta = {**(metadata or {}), "translation_consistent": consistent}
     return BieberbachGroup(name, gens, tuple(holonomy), meta)
 
 

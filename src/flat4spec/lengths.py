@@ -61,8 +61,8 @@ class CosetGeometry(NamedTuple):
 
 
 def coset_geometry(g: AffineIsometry) -> CosetGeometry:
-    """The coset of the holonomy element g, read from its cached invariants."""
-    sums, cycles = g._fields["sums"], g.cycles()
+    """The coset of the holonomy element g, read from its fields."""
+    sums, cycles = g._sums, g.cycles()
     if not sums:
         raise LengthError("element with empty fixed lattice is not torsion-free")
     return CosetGeometry(g._code, g._fractions.D, g._t,

@@ -1,9 +1,9 @@
 """Generic matrix and Fraction arithmetic: oracles for the integer engine in flat4spec."""
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
 from flat4spec.intlat import IntMatrix, IntVector, decompose_fixed, identity, smith_normal_form
-from flat4spec.theta import monomial
 
 
 def dim(M: IntMatrix) -> int:
@@ -70,24 +70,25 @@ def element_oracle(B: IntMatrix, b: Sequence) -> tuple:
     """The per-element invariants of (B, b) on Fractions, b taken mod 1.
 
     (b mod 1, unreduced sums b . u_i, raw offsets, folded offsets, theta
-    monomial, fixed-point free) from decompose_fixed(B).
+    monomial as sorted ((d, r), exponent) pairs, fixed-point free) from
+    decompose_fixed(B), in any dimension.
     """
     b = tuple(Fraction(x) % 1 for x in b)
     dec = decompose_fixed(B)
     raw = raw_offsets_oracle(b, dec)
+    folded = tuple((c.d, min(r, 1 - r)) for c, r in zip(dec.components, raw))
     return (b, tuple(sum(x * u for x, u in zip(b, c.vector)) for c in dec.components), raw,
-            tuple((c.d, min(r, 1 - r)) for c, r in zip(dec.components, raw)),
-            monomial(((c.d, r), 1) for c, r in zip(dec.components, raw)),
-            any(raw))
+            folded, tuple(sorted(Counter(folded).items())), any(raw))
 
 
 def element_fields(g) -> tuple:
     """The fields an element keeps, as element_oracle states them.
 
-    Also checks that b = t/D for the element's ints t in [0, D)^n.
+    Also checks that b = t/D for the element's ints t in [0, D)^n.  The raw
+    offsets are its kept sums s_j reduced: (s_j mod D) / D.
     """
     D, t = g._fractions.D, g._t
     assert all(0 <= x < D for x in t) and g.b == tuple(Fraction(x, D) for x in t), g
-    fields = g._fields
-    return (g.b, tuple(Fraction(s, D) for s in fields["sums"]), fields["raw_offsets"],
+    return (g.b, tuple(Fraction(s, D) for s in g._sums),
+            tuple(Fraction(s % D, D) for s in g._sums),
             g.translation_offsets(), g.theta_monomial(), g.is_fixed_point_free())

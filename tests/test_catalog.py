@@ -99,6 +99,69 @@ def test_wrong_holonomy_label_is_reported(tmp_path, capsys, gid, label, message)
     assert capsys.readouterr() == ("", f"error: {exc.value}\n")
 
 
+# what loading recomputes from the generators, each with a wrong but well-typed value
+_DERIVED = {
+    "betti": lambda v: [v[0] + 1, v[1]],
+    "orientable": lambda v: not v,
+    "diagonal": lambda v: not v,
+    "sunada": lambda v: [x + 1 for x in v],
+    "holonomy": lambda v: "Z2" if v == "Z3" else "Z3",
+    "translation_consistent": lambda v: not v,
+}
+# what the paper prints, kept as stored
+_PRINTED = {
+    "betti_printed": lambda v: [x + 1 for x in v],
+    "sunada_printed": lambda v: [x + 1 for x in v],
+    "notes": lambda v: v + " (edited)",
+    "table": lambda v: v + " (edited)",
+}
+
+
+# id and generators define an entry; every other stored key is derived from
+# them or printed
+@pytest.mark.parametrize("key", sorted({k for e in _base_data()["entries"] for k in e}
+                                       - {"id", "generators"}))
+def test_every_stored_key_is_revalidated_or_printed_only(tmp_path, capsys, key):
+    assert key in _DERIVED or key in _PRINTED, f"{key!r} is neither revalidated nor printed"
+    data = _base_data()
+    entry = next(e for e in data["entries"] if key in e)
+    entry[key] = {**_DERIVED, **_PRINTED}[key](entry[key])
+    path = _write(tmp_path, data)
+    if key in _PRINTED:
+        assert cli.main(["--catalog", path, "validate"]) == 0
+        assert capsys.readouterr().out == f"catalog {path}: 77 entries ok\n"
+    else:
+        assert cli.main(["--catalog", path, "validate"]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: invalid catalog entries: {entry['id']}: ")
+
+
+@pytest.mark.parametrize("gid, key, value, message", [
+    # JSON booleans only: bool() read a string or an int as true
+    ("1", "orientable", "false", "orientable must be a JSON boolean, not 'false'"),
+    ("1", "diagonal", "no", "diagonal must be a JSON boolean, not 'no'"),
+    ("1", "orientable", 1, "orientable must be a JSON boolean, not 1"),
+    ("29'", "translation_consistent", 0,
+     "translation_consistent must be a JSON boolean, not 0"),
+    # the stored flag is checked, absent meaning true
+    ("29'", "translation_consistent", True, "translation-consistency mismatch"),
+    ("2", "translation_consistent", False, "translation-consistency mismatch"),
+    # Sunada numbers exist only for diagonal type
+    ("3", "sunada", [9] * 6, "Sunada numbers stored for a nondiagonal group"),
+    ("3", "sunada_printed", [9] * 6, "Sunada numbers stored for a nondiagonal group"),
+])
+def test_false_or_malformed_stored_invariants_are_reported(tmp_path, capsys, gid, key, value,
+                                                           message):
+    data = _base_data()
+    next(e for e in data["entries"] if e["id"] == gid)[key] = value
+    path = _write(tmp_path, data)
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(path)
+    assert str(exc.value) == f"invalid catalog entries: {gid}: {message}"
+    assert cli.main(["--catalog", path, "validate"]) == 1
+    assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+
+
 def test_every_catalog_label_has_its_own_element_orders(catalog):
     # the check tells every pair of labels apart, so it cannot pass a swap
     profiles = catalog_module._ORDER_COUNTS

@@ -72,6 +72,12 @@ def test_matrix_part_must_be_orthogonal():
                              [0, 0, 1, 0], [0, 0, 0, 1]], [0, 0, 0, 0])
 
 
+def test_computed_consistency_flag_is_kept_over_metadata(catalog):
+    G = build_group(catalog.group("29'").generators,
+                    metadata={"translation_consistent": True, "table": "x"})
+    assert G.metadata == {"translation_consistent": False, "table": "x"}
+
+
 def test_translation_is_normalized():
     g = iso(identity(4), [Fraction(5, 4), Fraction(-1, 2), 3, 0])
     assert g.b == (Fraction(1, 4), Fraction(1, 2), 0, 0)
@@ -99,6 +105,31 @@ def test_pure_translation_is_fixed_point_free(n):
     assert element_fields(g) == element_oracle(identity(n), half)
     assert not AffineIsometry(identity(n), (1,) + (0,) * (n - 1)).is_fixed_point_free()
     assert not AffineIsometry.identity(n).is_fixed_point_free()
+
+
+@st.composite
+def shaped_elements(draw):
+    """An n x n signed permutation, n in 1..5, and 0..6 translation entries (often n)."""
+    n = draw(st.integers(1, 5))
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    size = draw(st.just(n) | st.integers(0, 6))
+    b = draw(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=12),
+                      min_size=size, max_size=size))
+    return tuple(tuple(signs[i] if perm[i] == j else 0 for j in range(n)) for i in range(n)), b
+
+
+@given(shaped_elements())
+def test_element_shapes_match_oracle(element):
+    # refused exactly when b has not one entry per row; complete when made otherwise
+    B, b = element
+    n = len(B)
+    if len(b) != n:
+        with pytest.raises(GroupError, match=rf"^a {n}x{n} matrix needs {n} translation "
+                                             rf"entries, not {len(b)}$"):
+            AffineIsometry(B, b)
+    else:
+        assert element_fields(AffineIsometry(B, b)) == element_oracle(B, b)
 
 
 def test_closure_bound():
@@ -324,7 +355,7 @@ def test_klein_type_group():
                     name="k")
     assert G.order == 2
     assert G.holonomy[0] == AffineIsometry.identity(4)
-    # the cached hash is by value: a separately built equal group matches
+    # the hash is by value: a separately built equal group matches
     again = build_group([iso(diag(1, 1, 1, -1), [Fraction(1, 2), 0, 0, 0])],
                         name=G.name)
     assert again is not G and again == G and hash(again) == hash(G)

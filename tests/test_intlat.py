@@ -97,7 +97,7 @@ def test_project_fixed_folds_offsets():
     assert [c.d for c in dec.components] == [1, 1, 2]
     v = (Fraction(3, 4), Fraction(1, 2), Fraction(1, 4), Fraction(1, 2))
     g = AffineIsometry(B, v)
-    assert g._fields["raw_offsets"] == raw_offsets_oracle(v, dec) == \
+    assert element_fields(g)[2] == raw_offsets_oracle(v, dec) == \
         (Fraction(3, 4), Fraction(1, 2), Fraction(3, 4))
     # folding sends 3/4 to 1/4 and the pair sum 3/4 to 1/4
     assert g.translation_offsets() == \
@@ -174,7 +174,7 @@ def test_raw_offsets_match_fraction_oracle(den, data):
         dec = decompose_fixed(B)
         want = raw_offsets_oracle(v, dec)
         g = AffineIsometry(B, v)
-        assert g._fields["raw_offsets"] == want, (B, v)
+        assert element_fields(g)[2] == want, (B, v)
         assert g.translation_offsets() == \
             tuple((c.d, min(r, 1 - r)) for c, r in zip(dec.components, want)), (B, v)
         # an element made on its own: every field from its own scaled translation

@@ -169,13 +169,12 @@ def test_bieberbach_group_fields_are_read_only(catalog, field):
 
 
 def test_per_element_caches_live_in_the_instance_dict(catalog):
-    g = catalog.group("2").holonomy[1]
-    g.traces()
-    g.theta_monomial()
-    assert {"_code", "_t", "_fractions", "_cycle_invariants", "_fields"} <= set(vars(g))
-    assert vars(g)["_fields"]["theta_monomial"] is g.theta_monomial()
-    hash(catalog.group("2"))
-    assert "_value_hash" in vars(catalog.group("2"))
+    # every field is set when the element is made, before any read
+    h = catalog.group("2").holonomy[1]
+    g = AffineIsometry(h.B, h.b)
+    assert {"_code", "_t", "_fractions", "_cycle_invariants", "_sums", "_offsets",
+            "_theta_monomial"} <= set(vars(g))
+    assert vars(g)["_theta_monomial"] is g.theta_monomial()
 
 
 def test_default_containers_are_not_shared():
