@@ -4,13 +4,18 @@ The default catalog ships as data/catalog.json (77 entries: the torus plus
 76 nontrivial groups).  Set the environment variable FLAT4SPEC_CATALOG to the
 path of an alternative JSON file to override it.
 
-Loading revalidates every entry: the generators must close to a torsion-free
-group, and the stored Betti numbers, orientability, diagonal-type flag,
-translation-consistency flag (absent means true), Sunada numbers and holonomy
-label (by its count of elements of each order) must match recomputation.  The
-three flags must be JSON booleans, and only a diagonal-type entry may store
-Sunada numbers, computed or printed.  Validation failures raise CatalogError
-listing the offending entry ids.
+Loading checks the whole document (readable JSON, an entries list, string ids
+without duplicates, a matching count), then revalidates each entry it keeps:
+all of them by default, or only those named in `ids`.  So `validate`,
+`classify` and `invariants`/`crosscheck` without ids revalidate all 77
+entries, while `zeta`, `spectrum`, `lengths` and `invariants`/`crosscheck`
+with ids revalidate only the entries they read.  The generators must close
+to a torsion-free group, and the stored Betti numbers, orientability,
+diagonal-type flag, translation-consistency flag (absent means true), Sunada
+numbers and holonomy label (by its count of elements of each order) must
+match recomputation.  The three flags must be JSON booleans, and only a
+diagonal-type entry may store Sunada numbers, computed or printed.
+Validation failures raise CatalogError listing the offending entry ids.
 """
 from __future__ import annotations
 
@@ -185,8 +190,13 @@ def catalog_path() -> str:
     return str(Path(__file__).with_name("data") / "catalog.json")
 
 
-def load_catalog(path: str | None = None) -> Catalog:
-    """Load and validate a catalog (default: packaged file or $FLAT4SPEC_CATALOG)."""
+def load_catalog(path: str | None = None, ids: list[str] | None = None) -> Catalog:
+    """Load and validate a catalog (default: packaged file or $FLAT4SPEC_CATALOG).
+
+    With `ids`, the catalog keeps and validates only the entries with those ids;
+    Catalog.get reports an id the file lacks.  An entry without an id is always
+    validated, so it fails the load.
+    """
     src = path if path is not None else catalog_path()
     try:
         data = json.loads(Path(src).read_text())
@@ -205,7 +215,8 @@ def load_catalog(path: str | None = None) -> Catalog:
     bad: dict[str, str] = {}
     seen: set[str] = set()
     for i, raw in enumerate(data["entries"]):
-        gid = raw.get("id", f"<entry {i}>") if isinstance(raw, dict) else f"<entry {i}>"
+        named = isinstance(raw, dict) and "id" in raw
+        gid = raw["id"] if named else f"<entry {i}>"
         if not isinstance(gid, str):
             bad[f"<entry {i}>"] = f"id must be a string, not {gid!r}"
             continue
@@ -213,6 +224,8 @@ def load_catalog(path: str | None = None) -> Catalog:
             bad[gid] = "duplicate id"
             continue
         seen.add(gid)
+        if named and ids is not None and gid not in ids:
+            continue
         try:
             entries.append(_validate_entry(raw, parsed))
         except (CatalogError, GroupError, ValueError, KeyError, TypeError) as exc:
@@ -221,8 +234,6 @@ def load_catalog(path: str | None = None) -> Catalog:
         listing = "; ".join(f"{gid}: {msg}" for gid, msg in sorted(bad.items()))
         raise CatalogError(f"invalid catalog entries: {listing}")
 
-    if declared is not None and declared != len(entries):
-        raise CatalogError(
-            f"catalog declares {declared} entries but contains {len(entries)}"
-        )
+    if declared is not None and declared != len(seen):
+        raise CatalogError(f"catalog declares {declared} entries but contains {len(seen)}")
     return Catalog(source=src, entries=entries)

@@ -55,8 +55,9 @@ _heat_time = _checked(float, lambda x: MIN_HEAT_TIME <= x < math.inf,
 _nonnegative_int = _checked(int, lambda x: x >= 0, "a nonnegative integer")
 
 
-def _load(args) -> Catalog:
-    return load_catalog(args.catalog)
+def _load(args, ids=None) -> Catalog:
+    """The catalog, keeping and validating only the entries in `ids` (none given: all)."""
+    return load_catalog(args.catalog, ids or None)
 
 
 def _pick(cat: Catalog, ids) -> list:
@@ -91,7 +92,7 @@ def _element_rows(G) -> list[dict]:
 
 
 def cmd_invariants(args) -> int:
-    cat = _load(args)
+    cat = _load(args, args.ids)
     rows = []
     for e in _pick(cat, args.ids):
         rows.append({
@@ -127,7 +128,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_zeta(args) -> int:
-    cat = _load(args)
+    cat = _load(args, [args.id])
     entry = cat.get(args.id)
     degrees = range(5) if args.p is None else [args.p]
     for p in degrees:
@@ -138,7 +139,7 @@ def cmd_zeta(args) -> int:
 
 def cmd_spectrum(args) -> int:
     from .numspec import multiplicities
-    cat = _load(args)
+    cat = _load(args, [args.id])
     entry = cat.get(args.id)
     degrees = range(5) if args.p is None else [args.p]
     for p in degrees:
@@ -149,7 +150,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_lengths(args) -> int:
     from .lengths import length_set, length_spectrum
-    cat = _load(args)
+    cat = _load(args, [args.id])
     entry = cat.get(args.id)
     if args.mult:
         spec = length_spectrum(entry.group, args.max_len2)
@@ -185,7 +186,7 @@ def cmd_classify(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     from .numspec import heat_trace_numeric
-    cat = _load(args)
+    cat = _load(args, args.ids)
     failures = 0
     degrees = range(5) if args.p is None else [args.p]
     for e in _pick(cat, args.ids):

@@ -25,6 +25,15 @@ def test_get_and_group(catalog):
         catalog.get("999")
 
 
+def test_load_keeps_only_the_named_entries(catalog):
+    # in file order, each once; an id the file lacks is reported when read
+    cat = load_catalog(ids=["24", "1", "24", "999"])
+    assert cat.ids() == ["1", "24"]
+    assert cat.get("24")._replace(group=None) == catalog.get("24")._replace(group=None)
+    with pytest.raises(KeyError, match="no group '999'"):
+        cat.get("999")
+
+
 def test_env_var_override(tmp_path, monkeypatch):
     target = tmp_path / "alt.json"
     data = json.loads(Path(catalog_path()).read_text())

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from flat4spec import catalog as catalog_module
 from flat4spec.catalog import catalog_path
 from flat4spec.cli import MIN_HEAT_TIME, main
 from flat4spec.theta import HeatTracePoly
@@ -88,10 +89,13 @@ def test_invariants_json(capsys):
 
 
 def test_invariants_unknown_id(capsys):
-    # the bare message, not the repr of the KeyError that carries it
-    for command in ("invariants", "zeta"):
-        code, _, err = run(capsys, command, "999")
-        assert code == 1
+    # the bare message, not the repr of the KeyError that carries it, and
+    # no output before it, not even the rows of the ids that exist
+    for argv in (["invariants", "999"], ["zeta", "999"], ["spectrum", "999"],
+                 ["lengths", "999"], ["crosscheck", "999"], ["crosscheck", "1", "999"],
+                 ["invariants", "1", "999"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
         assert err == f"error: no group '999' in catalog {catalog_path()}\n"
 
 
@@ -191,3 +195,81 @@ def test_crosscheck_at_the_smallest_heat_time(capsys):
         assert math.isfinite(exact) and exact >= 0, row
     assert code == 1
     assert err == f"{len(rows)} mismatches above tolerance 1e-08\n"
+
+
+def _catalog_copy(tmp_path, change) -> str:
+    data = json.loads(Path(catalog_path()).read_text())
+    change(data)
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _corrupt_betti_24(data):
+    entry = next(e for e in data["entries"] if e["id"] == "24")
+    entry["betti"] = [entry["betti"][0] + 1, entry["betti"][1]]
+
+
+@pytest.fixture(scope="module")
+def bad_24(tmp_path_factory):
+    return _catalog_copy(tmp_path_factory.mktemp("bad_24"), _corrupt_betti_24)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["classify", "--mode", "p0"], ["invariants"],
+    ["crosscheck", "-p", "0"], ["zeta", "24"], ["lengths", "24", "--max-len2", "2"],
+    ["invariants", "1", "24"],
+], ids=" ".join)
+def test_corrupt_entry_is_reported_by_every_command_that_reads_it(capsys, bad_24, argv):
+    code, out, err = run(capsys, "--catalog", bad_24, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: invalid catalog entries: 24: betti mismatch: stored [2, 0], computed [1, 0]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeta", "1"], ["spectrum", "1", "--max-mu", "3"], ["lengths", "1", "--max-len2", "2"],
+], ids=" ".join)
+def test_corrupt_entry_leaves_commands_that_do_not_read_it(capsys, bad_24, argv):
+    expected = run(capsys, *argv)
+    assert expected[0] == 0
+    assert run(capsys, "--catalog", bad_24, *argv) == expected
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda data: data["entries"].append(dict(data["entries"][1])),
+     "invalid catalog entries: 2: duplicate id"),
+    (lambda data: data["entries"][3].update(id=5),
+     "invalid catalog entries: <entry 3>: id must be a string, not 5"),
+    (lambda data: data["entries"][3].pop("id"),
+     "invalid catalog entries: <entry 3>: missing field 'id'"),
+    (lambda data: data.update(count=78), "declares 78 entries but contains 77"),
+    (lambda data: data.pop("entries"), "has no 'entries' list"),
+], ids=["duplicate id", "non-string id", "no id", "wrong count", "no entries list"])
+def test_document_defects_fail_a_command_that_reads_one_entry(capsys, tmp_path, change,
+                                                               message):
+    path = _catalog_copy(tmp_path, change)
+    code, out, err = run(capsys, "--catalog", path, "zeta", "1")
+    assert (code, out) == (1, "")
+    assert message in err
+    assert err == run(capsys, "--catalog", path, "validate")[2]
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (["zeta", "1"], 1),
+    (["lengths", "1", "--max-len2", "2"], 1),
+    (["crosscheck", "1", "2", "3", "4", "24", "57", "67", "-p", "0", "-s", "0.3",
+      "--trunc", "20", "--mu-max", "12"], 7),
+    (["validate"], 77),
+    (["classify", "--mode", "p0"], 77),
+], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+def test_a_command_builds_only_the_groups_it_reads(capsys, monkeypatch, argv, builds):
+    calls = []
+    build = catalog_module.build_group
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["name"])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(catalog_module, "build_group", counting)
+    assert run(capsys, *argv)[0] == 0
+    assert len(calls) == len(set(calls)) == builds
