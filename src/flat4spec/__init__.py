@@ -11,18 +11,22 @@ lattice is the cubic lattice Z^4.  The package computes, in exact arithmetic:
 
 Importing the package is cheap: it loads no submodule.  Each public name
 (and each submodule name) imports its home submodule on first use, so a
-command compiles only the modules it runs.
+command compiles only the modules it runs.  `MODES` is the one constant
+defined here, so the CLI can offer the classification modes without loading
+`classify`; classify re-exports it.
 """
 import importlib
+
+# the isospectrality relations classify.classify_all groups the catalog by
+MODES = ("p0", "p1", "p2", "p3", "p4", "all-p", "sunada", "L", "bracketL")
 
 # home submodule -> the public names it defines.  The keys are also the
 # package's submodule names, resolved as attributes (flat4spec.lengths).
 _HOMES = {
     "catalog": ("Catalog", "CatalogEntry", "CatalogError", "catalog_path",
                 "load_catalog"),
-    "classify": ("ClassificationReport", "L_isospectral", "MODES",
-                 "bracketL_isospectral", "classify_all", "p_isospectral",
-                 "sunada_isospectral"),
+    "classify": ("ClassificationReport", "L_isospectral", "bracketL_isospectral",
+                 "classify_all", "p_isospectral", "sunada_isospectral"),
     "cli": (),
     "group": ("AffineIsometry", "BieberbachGroup", "GroupError", "betti",
               "build_group", "is_abelian_holonomy", "is_diagonal_type",
@@ -37,7 +41,7 @@ _HOMES = {
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = sorted(_HOME_OF)
+__all__ = sorted([*_HOME_OF, "MODES"])
 
 
 def __getattr__(name: str):

@@ -16,12 +16,11 @@ import json
 import re
 from fractions import Fraction
 
+from . import MODES
 from .group import BieberbachGroup, sunada_tuple
 from .theta import trace_sums
 # not called here; kept importable: bench/test_bench.py wraps it in this module
 from .theta import heat_trace_poly  # noqa: F401
-
-MODES = ("p0", "p1", "p2", "p3", "p4", "all-p", "sunada", "L", "bracketL")
 
 
 def _check_mode(mode: str) -> None:

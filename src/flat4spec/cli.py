@@ -12,21 +12,25 @@ Subcommands:
 
 Only the commands that need them import the heavier layers: `spectrum` and
 `crosscheck` import numspec, `lengths` and `classify --mode bracketL` import
-lengths; every other command loads neither.
+lengths, and only `classify` imports classify.  qfield loads only where a
+QuadNumber is made: for `zeta`, `crosscheck`, and `invariants` of a group with
+a nontrivial element.
 
-Exit codes: 0 success, 1 computational failure or mismatch, 2 usage error.
+Exit codes: 0 success, 1 computational failure or mismatch (or stdout closed
+before the output was written), 2 usage error.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+from . import MODES
 from .catalog import Catalog, CatalogError, catalog_path, load_catalog
-from .classify import MODES, classify_all
 from .group import GroupError, betti, is_orientable
 from .theta import heat_trace_poly
 
@@ -163,6 +167,7 @@ def cmd_lengths(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .classify import classify_all
     cat = _load(args)
     report = classify_all(cat.groups(), args.mode, max2=args.bound)
     if args.json is not None:
@@ -273,7 +278,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # stdout closed early (`| head`): end quietly, and point stdout at
+        # devnull so the interpreter's final flush does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (CatalogError, GroupError, ValueError, KeyError, ArithmeticError) as exc:
         # str() of a KeyError is the repr of its message
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

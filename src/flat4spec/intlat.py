@@ -15,14 +15,17 @@ contributes Z (eps = +1) or Z/2 (eps = -1) to the quotient
 Z^4 / (B^{-1} - Id) Z^4 that labels conjugacy classes within a coset (see
 lengths).  `smith_normal_form` (plain gcd elimination with
 unimodular bookkeeping) is the one generic routine left; no engine path calls
-it, and the benchmark's tracer counts its calls.
+it, and the benchmark's tracer counts its calls.  qfield is imported only
+inside `FixedDecomposition.volume`, the one place here that makes a
+QuadNumber, so a command that never asks for a volume never loads it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .qfield import QuadNumber
+if TYPE_CHECKING:
+    from .qfield import QuadNumber
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
@@ -230,6 +233,7 @@ class FixedDecomposition(NamedTuple):
         return len(self.components)
 
     def volume(self) -> QuadNumber:
+        from .qfield import QuadNumber
         vol = QuadNumber(1)
         for comp in self.components:
             vol = vol * QuadNumber.sqrt_int(comp.d)

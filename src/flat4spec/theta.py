@@ -22,6 +22,10 @@ built once per group); `trace_sums` reads it, and at equal order two heat traces
 are equal exactly when their nonzero sums are.  `theta_value` is memoised per
 process, with a bound, so `crosscheck` sums each variable once per (s, terms).
 
+qfield is imported only where a QuadNumber is made (`_coefficient` and
+`HeatTracePoly.from_terms`), so `trace_sums`, which classify and numspec read,
+does not load it.
+
 The engine never calls `monomial` or `fold_offset`.  They stay public because
 tests/golden_heat.py builds the golden polynomials with them, and the
 benchmark's output checks import golden_heat, `HeatTracePoly.from_terms` and
@@ -32,10 +36,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .group import BieberbachGroup
-from .qfield import QuadNumber
+
+if TYPE_CHECKING:
+    from .qfield import QuadNumber
 
 Monomial = tuple[tuple[tuple[int, Fraction], int], ...]  # ((d, r), exponent), sorted
 
@@ -89,6 +95,7 @@ class HeatTracePoly(NamedTuple):
 
     @classmethod
     def from_terms(cls, order: int, terms) -> "HeatTracePoly":
+        from .qfield import QuadNumber
         acc: dict[Monomial, QuadNumber] = {}
         for mono, coef in terms:
             acc[mono] = acc.get(mono, QuadNumber()) + coef
@@ -99,7 +106,7 @@ class HeatTracePoly(NamedTuple):
         return dict(self.coeffs)
 
     def unscaled(self) -> dict[Monomial, QuadNumber]:
-        inv = QuadNumber(Fraction(1, self.order))
+        inv = Fraction(1, self.order)
         return {m: c * inv for m, c in self.coeffs}
 
     def support(self) -> frozenset[Monomial]:
@@ -157,6 +164,7 @@ def trace_sums(G: BieberbachGroup, p: int) -> dict[Monomial, int]:
 @lru_cache(maxsize=None)
 def _coefficient(D: int, tr: int) -> QuadNumber:
     """tr/vol = tr sqrt(D)/D: a monomial fixes the product D of its dimensions d."""
+    from .qfield import QuadNumber
     return QuadNumber.sqrt_int(D) * Fraction(tr, D)
 
 

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,8 @@ from flat4spec import catalog as catalog_module
 from flat4spec.catalog import catalog_path
 from flat4spec.cli import MIN_HEAT_TIME, main
 from flat4spec.theta import HeatTracePoly
+
+SRC = str(Path(catalog_module.__file__).resolve().parent.parent)
 
 
 def run(capsys, *argv):
@@ -86,6 +91,19 @@ def test_invariants_json(capsys):
     assert rows[1]["orientable"] is True
     assert rows[0]["sunada"] == [0, 3, 0, 0, 0, 0]
     assert rows[1]["sunada"] is None
+
+
+def test_closed_stdout_ends_quietly_with_exit_1():
+    # the JSON of every group (about 300 KB) outgrows a pipe buffer, so the
+    # command is still writing when the reader goes away, as with `| head -1`
+    argv = [sys.executable, "-m", "flat4spec.cli", "invariants", "--json"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=dict(os.environ, PYTHONPATH=SRC)) as proc:
+        assert proc.stdout.readline() == b"[\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert b"Traceback" not in err
+    assert (proc.returncode, err) == (1, b"")
 
 
 def test_invariants_unknown_id(capsys):

@@ -41,28 +41,34 @@ def _quiet_main(*argv: str) -> str:
             f"with contextlib.redirect_stdout(io.StringIO()): main({list(argv)!r})")
 
 
-EVERY_COMMAND = {"flat4spec", "catalog", "classify", "cli", "group", "intlat",
-                 "kraw", "qfield", "theta"}
+EVERY_COMMAND = {"flat4spec", "catalog", "cli", "group", "intlat", "kraw", "theta"}
 
 
 def test_package_import_loads_no_submodule():
     assert _package_modules_after("import flat4spec") == {"flat4spec"}
     # a submodule name resolves on first use, and loads only what it imports
     assert _package_modules_after("import flat4spec; flat4spec.kraw") == {
-        "flat4spec", "intlat", "kraw", "qfield"}
+        "flat4spec", "intlat", "kraw"}
 
 
 def test_cli_import_loads_neither_lengths_nor_numspec():
     assert _package_modules_after("import flat4spec.cli") == EVERY_COMMAND
 
 
+# qfield loads only where a QuadNumber is made: heat-trace coefficients and
+# fixed-lattice volumes (invariants of a group other than the torus, id 1)
 @pytest.mark.parametrize("argv, deferred", [
-    (("classify", "--mode", "p0"), set()),
-    (("classify", "--mode", "bracketL", "--bound", "1/2"), {"lengths"}),
+    (("validate",), set()),
+    (("invariants", "1"), set()),
+    (("invariants", "42"), {"qfield"}),
+    (("zeta", "1"), {"qfield"}),
+    (("classify", "--mode", "p0"), {"classify"}),
+    (("classify", "--mode", "bracketL", "--bound", "1/2"), {"classify", "lengths"}),
     (("lengths", "1", "--max-len2", "2"), {"lengths"}),
     (("spectrum", "1", "--max-mu", "3"), {"numspec"}),
-    (("crosscheck", "1", "-p", "0"), {"numspec"}),
-], ids=["classify-p0", "classify-bracketL", "lengths", "spectrum", "crosscheck"])
+    (("crosscheck", "1", "-p", "0"), {"numspec", "qfield"}),
+], ids=["validate", "invariants-torus", "invariants-42", "zeta", "classify-p0",
+        "classify-bracketL", "lengths", "spectrum", "crosscheck"])
 def test_command_loads_only_the_deferred_layers_it_runs(argv, deferred):
     assert _package_modules_after(_quiet_main(*argv)) == EVERY_COMMAND | deferred
 
@@ -89,7 +95,8 @@ def test_public_names_are_unchanged():
 @pytest.mark.parametrize("name", sorted(PUBLIC_NAMES))
 def test_public_name_is_its_home_modules_object(name):
     value = getattr(flat4spec, name)
-    # MODES, a tuple, is the one public name without a __module__
+    # MODES, a tuple defined in the package and re-exported by classify, is
+    # the one public name without a __module__
     home = importlib.import_module(getattr(value, "__module__", "flat4spec.classify"))
     assert home.__name__.startswith("flat4spec.")
     assert getattr(home, name) is value
