@@ -306,7 +306,7 @@ def _entry(gid, table, holonomy, beta_printed, orientable, diagonal, mats, b_spe
         entry["sunada"] = list(computed)
         entry["sunada_printed"] = list(printed)
     notes = []
-    if not G.metadata["translation_consistent"]:
+    if not G.translation_consistent:
         assert gid == "29'", gid
         entry["translation_consistent"] = False
         notes.append("generator products do not close over Z^4 as printed;"

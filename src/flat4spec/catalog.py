@@ -27,8 +27,8 @@ from math import lcm
 from pathlib import Path
 from typing import NamedTuple
 
-from .group import (AffineIsometry, BieberbachGroup, GroupError, betti, build_group,
-                    check_shape, is_diagonal_type, is_orientable, sunada_tuple)
+from .group import (AffineIsometry, BieberbachGroup, betti, build_group, check_shape,
+                    is_diagonal_type, is_orientable, sunada_tuple)
 from .intlat import Cycles
 
 ENV_VAR = "FLAT4SPEC_CATALOG"
@@ -122,7 +122,7 @@ def _entry_group(raw: dict, parsed: dict[str, Fraction]) -> BieberbachGroup:
         translation = [_translation_entry(x, k, parsed) for x in g["translation"]]
         check_shape(k, matrix, translation)
         gens.append(AffineIsometry(matrix, translation))
-    return build_group(gens, name=raw["id"], metadata={"table": raw.get("table", "")})
+    return build_group(gens, name=raw["id"])
 
 
 def _validate_entry(raw: dict, parsed: dict[str, Fraction]) -> CatalogEntry:
@@ -145,7 +145,7 @@ def _validate_entry(raw: dict, parsed: dict[str, Fraction]) -> CatalogEntry:
     diagonal = is_diagonal_type(G)
     if diagonal != flags["diagonal"]:
         raise CatalogError("diagonal-type mismatch")
-    if G.metadata["translation_consistent"] != flags["translation_consistent"]:
+    if G.translation_consistent != flags["translation_consistent"]:
         raise CatalogError("translation-consistency mismatch")
     sunada = sunada_printed = None
     if not diagonal and ("sunada" in raw or "sunada_printed" in raw):
@@ -228,7 +228,7 @@ def load_catalog(path: str | None = None, ids: list[str] | None = None) -> Catal
             continue
         try:
             entries.append(_validate_entry(raw, parsed))
-        except (CatalogError, GroupError, ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:  # incl. CatalogError, GroupError
             bad[gid] = str(exc)
     if bad:
         listing = "; ".join(f"{gid}: {msg}" for gid, msg in sorted(bad.items()))

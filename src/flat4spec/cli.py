@@ -16,8 +16,8 @@ lengths, and only `classify` imports classify.  qfield loads only where a
 QuadNumber is made: for `zeta`, `crosscheck`, and `invariants` of a group with
 a nontrivial element.
 
-Exit codes: 0 success, 1 computational failure or mismatch (or stdout closed
-before the output was written), 2 usage error.
+Exit codes: 0 success, 1 computational failure, mismatch or failed write to
+stdout (quietly when stdout was closed early, as by `| head`), 2 usage error.
 """
 from __future__ import annotations
 
@@ -30,8 +30,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import MODES
-from .catalog import Catalog, CatalogError, catalog_path, load_catalog
-from .group import GroupError, betti, is_orientable
+from .catalog import catalog_path, load_catalog
+from .group import betti, is_orientable
 from .theta import heat_trace_poly
 
 
@@ -59,19 +59,14 @@ _heat_time = _checked(float, lambda x: MIN_HEAT_TIME <= x < math.inf,
 _nonnegative_int = _checked(int, lambda x: x >= 0, "a nonnegative integer")
 
 
-def _load(args, ids=None) -> Catalog:
-    """The catalog, keeping and validating only the entries in `ids` (none given: all)."""
-    return load_catalog(args.catalog, ids or None)
-
-
-def _pick(cat: Catalog, ids) -> list:
-    if not ids:
-        return list(cat.entries)
-    return [cat.get(gid) for gid in ids]
+def _entries(args, ids=()) -> list:
+    """The entries named in `ids`, in that order (none given: all), validating only those."""
+    cat = load_catalog(args.catalog, ids or None)
+    return [cat.get(gid) for gid in ids] if ids else cat.entries
 
 
 def cmd_validate(args) -> int:
-    cat = _load(args)
+    cat = load_catalog(args.catalog)
     print(f"catalog {cat.source}: {len(cat)} entries ok")
     return 0
 
@@ -96,9 +91,8 @@ def _element_rows(G) -> list[dict]:
 
 
 def cmd_invariants(args) -> int:
-    cat = _load(args, args.ids)
     rows = []
-    for e in _pick(cat, args.ids):
+    for e in _entries(args, args.ids):
         rows.append({
             "id": e.id,
             "holonomy": e.holonomy,
@@ -132,8 +126,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_zeta(args) -> int:
-    cat = _load(args, [args.id])
-    entry = cat.get(args.id)
+    [entry] = _entries(args, [args.id])
     degrees = range(5) if args.p is None else [args.p]
     for p in degrees:
         poly = heat_trace_poly(entry.group, p)
@@ -143,8 +136,7 @@ def cmd_zeta(args) -> int:
 
 def cmd_spectrum(args) -> int:
     from .numspec import multiplicities
-    cat = _load(args, [args.id])
-    entry = cat.get(args.id)
+    [entry] = _entries(args, [args.id])
     degrees = range(5) if args.p is None else [args.p]
     for p in degrees:
         mults = multiplicities(entry.group, p, args.max_mu)
@@ -154,8 +146,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_lengths(args) -> int:
     from .lengths import length_set, length_spectrum
-    cat = _load(args, [args.id])
-    entry = cat.get(args.id)
+    [entry] = _entries(args, [args.id])
     if args.mult:
         spec = length_spectrum(entry.group, args.max_len2)
         for l2, m in sorted(spec.items()):
@@ -168,8 +159,7 @@ def cmd_lengths(args) -> int:
 
 def cmd_classify(args) -> int:
     from .classify import classify_all
-    cat = _load(args)
-    report = classify_all(cat.groups(), args.mode, max2=args.bound)
+    report = classify_all([e.group for e in _entries(args)], args.mode, max2=args.bound)
     if args.json is not None:
         if args.json == "-":
             print(report.to_json())
@@ -191,10 +181,9 @@ def cmd_classify(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     from .numspec import heat_trace_numeric
-    cat = _load(args, args.ids)
     failures = 0
     degrees = range(5) if args.p is None else [args.p]
-    for e in _pick(cat, args.ids):
+    for e in _entries(args, args.ids):
         for p in degrees:
             exact = heat_trace_poly(e.group, p).eval_numeric(args.s, terms=args.trunc)
             series = heat_trace_numeric(e.group, p, args.s, args.mu_max)
@@ -279,16 +268,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
-        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        sys.stdout.flush()  # a failed write raises here, not at interpreter exit
         return code
-    except BrokenPipeError:
-        # stdout closed early (`| head`): end quietly, and point stdout at
-        # devnull so the interpreter's final flush does not raise again
+    except OSError as exc:
+        # a failed write to stdout (catalog reads and `classify --json PATH`
+        # report their own): point stdout at devnull so the interpreter's final
+        # flush does not raise again, and end quietly if it was closed (`| head`)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
         return 1
-    except (CatalogError, GroupError, ValueError, KeyError, ArithmeticError) as exc:
+    except (ValueError, KeyError, ArithmeticError) as exc:  # incl. CatalogError, GroupError
         # str() of a KeyError is the repr of its message
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {msg}", file=sys.stderr)

@@ -33,9 +33,9 @@ pass; heat traces and classification read it.
 
 `AffineIsometry` and `BieberbachGroup` are read-only: assignment and deletion
 raise AttributeError, and equality and hash read only (B, b) or (name,
-generators, holonomy).  The code, the ints, the fields above and a group's
-trace-sum table are kept in the instance, outside the compared and hashed
-fields.
+generators, holonomy).  The code, the ints, the fields above, a group's
+translation-consistency flag and its trace-sum table are kept in the
+instance, outside the compared and hashed fields.
 """
 from __future__ import annotations
 
@@ -214,15 +214,16 @@ class AffineIsometry(_Frozen):
 
 
 class BieberbachGroup(_Frozen):
-    """Compared and hashed by (name, generators, holonomy); metadata is not."""
+    """Compared and hashed by (name, generators, holonomy), not by the read-only flag
+    translation_consistent: whether the generators' products close over Z^4."""
 
     def __init__(self, name: str, generators: tuple[AffineIsometry, ...],
                  holonomy: tuple[AffineIsometry, ...],  # identity first, then sorted
-                 metadata: dict | None = None):
+                 translation_consistent: bool = True):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "holonomy", holonomy)
-        object.__setattr__(self, "metadata", {} if metadata is None else metadata)
+        object.__setattr__(self, "translation_consistent", translation_consistent)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -236,7 +237,7 @@ class BieberbachGroup(_Frozen):
     def __repr__(self) -> str:
         return (f"{self.__class__.__qualname__}(name={self.name!r}, "
                 f"generators={self.generators!r}, holonomy={self.holonomy!r}, "
-                f"metadata={self.metadata!r})")
+                f"translation_consistent={self.translation_consistent!r})")
 
     @property
     def order(self) -> int:
@@ -267,8 +268,7 @@ def check_shape(k: int, B: Sequence, b: Sequence) -> None:
                          f"{len(b)} translation entries; expected 4x4 and 4")
 
 
-def build_group(generators: Sequence[AffineIsometry], name: str = "",
-                metadata: dict | None = None) -> BieberbachGroup:
+def build_group(generators: Sequence[AffineIsometry], name: str = "") -> BieberbachGroup:
     """Close the generators modulo Z^4 and validate the Bieberbach conditions."""
     gens = tuple(generators)
     for k, g in enumerate(gens, 1):
@@ -307,8 +307,7 @@ def build_group(generators: Sequence[AffineIsometry], name: str = "",
         if M != _IDENTITY_CODE and not g.is_fixed_point_free():
             raise GroupError(f"not torsion-free: element with matrix {g.B} fixes a point")
         holonomy.append(g)
-    meta = {**(metadata or {}), "translation_consistent": consistent}
-    return BieberbachGroup(name, gens, tuple(holonomy), meta)
+    return BieberbachGroup(name, gens, tuple(holonomy), consistent)
 
 
 # -- group level invariants ------------------------------------------------

@@ -22,6 +22,7 @@ QuadNumber, so a command that never asks for a volume never loads it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -233,11 +234,9 @@ class FixedDecomposition(NamedTuple):
         return len(self.components)
 
     def volume(self) -> QuadNumber:
+        """Covolume of the fixed lattice, sqrt(prod d) over the orthogonal components."""
         from .qfield import QuadNumber
-        vol = QuadNumber(1)
-        for comp in self.components:
-            vol = vol * QuadNumber.sqrt_int(comp.d)
-        return vol
+        return QuadNumber.sqrt_int(prod([c.d for c in self.components]))
 
 
 def code_cycles(code: Sequence[int]) -> Cycles:

@@ -29,8 +29,8 @@ its code and signed cycles, the closure's integer translation D*b (D the
 group's closure denominator) and the per-cycle sums s_j D = D*b . u_j, with
 d_j the length of the j-th cycle of sign product +1.  Everything runs on
 ints: squared lengths times W D^2 (W the lcm of the d_j) and translations
-times D, or times the lcm of two cosets' D to conjugate one by the other.
-Only the returned squared lengths become Fractions.
+times D, the same D for every coset of a group.  Only the returned squared
+lengths become Fractions.
 """
 from __future__ import annotations
 
@@ -128,17 +128,15 @@ def _conjugation_maps(geo: CosetGeometry, reps: list[CosetGeometry]):
     """Affine maps x -> shift + sum_c x_c e(c) on states, one per rep commuting with B.
 
     As B_j B = B B_j, the rep g_j = (B_j, b_j) maps lambda to B_j lambda + v for the
-    integral v = B_j (B^T b_j + b - b_j) - b (codes, translations scaled by the lcm
-    of the two cosets' D); shift is the state of v, e(c) = (index, sign) that of
-    B_j e_{first axis of c}.
+    integral v = B_j (B^T b_j + b - b_j) - b (codes, translations scaled by the
+    group's D, which every coset shares); shift is the state of v, e(c) =
+    (index, sign) that of B_j e_{first axis of c}.
     """
-    maps = []
+    D, b, maps = geo.D, geo.t, []
     for rep in reps:
         if code_product(rep.code, geo.code) != code_product(geo.code, rep.code):
             continue
-        D = lcm(geo.D, rep.D)
-        b, t = ([x * (D // e.D) for x in e.t] for e in (geo, rep))
-        _, u = code_compose(rep.code, t, geo.code, [x - y for x, y in zip(b, t)])
+        _, u = code_compose(rep.code, rep.t, geo.code, [x - y for x, y in zip(b, rep.t)])
         v = [x - y for x, y in zip(code_product(rep.code, u), b)]
         if any(x % D for x in v):
             raise LengthError("conjugation by a representative is not integral")

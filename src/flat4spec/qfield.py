@@ -43,28 +43,13 @@ class QuadNumber:
 
     @classmethod
     def sqrt_int(cls, n: int) -> "QuadNumber":
-        """Exact square root of a positive integer, when it lies in the field."""
+        """Exact square root of a positive integer n = f s^2 with f in 1, 2, 3, 6: s sqrt(f)."""
         if n <= 0:
             raise ValueError("sqrt_int needs a positive integer")
-        square, free = 1, 1
-        m, p = n, 2
-        while p * p <= m:
-            while m % (p * p) == 0:
-                square *= p
-                m //= p * p
-            if m % p == 0:
-                free *= p
-                m //= p
-            p += 1
-        free *= m
-        if free == 1:
-            return cls(square)
-        if free == 2:
-            return cls(0, square)
-        if free == 3:
-            return cls(0, 0, square)
-        if free == 6:
-            return cls(0, 0, 0, square)
+        for i, f in enumerate((1, 2, 3, 6)):
+            s = math.isqrt(n // f)
+            if f * s * s == n:
+                return cls(*[s if j == i else 0 for j in range(4)])
         raise UnrepresentableRadical(f"sqrt({n}) is not in Q(sqrt2, sqrt3)")
 
     # -- ring operations ----------------------------------------------

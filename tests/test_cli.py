@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -104,6 +105,19 @@ def test_closed_stdout_ends_quietly_with_exit_1():
         _, err = proc.communicate(timeout=120)
     assert b"Traceback" not in err
     assert (proc.returncode, err) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args", [["invariants", "1"], ["classify", "--mode", "p0"]])
+def test_write_error_on_stdout_is_one_error_line(args):
+    # every write to /dev/full fails with ENOSPC: one message, no traceback,
+    # and no complaint from the interpreter's final flush
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "flat4spec.cli", *args], stdout=full,
+                              stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=SRC),
+                              timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_invariants_unknown_id(capsys):

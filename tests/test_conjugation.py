@@ -75,7 +75,7 @@ def test_invariants_survive_conjugation(catalog):
                 if entry.id == "29'":
                     # the printed generators do not close over Z^4, in any
                     # frame and from any generating set
-                    assert not H.metadata["translation_consistent"]
+                    assert not H.translation_consistent
                     with pytest.raises(LengthError, match="not integral"):
                         length_spectrum(H, 2)
             trials += 1

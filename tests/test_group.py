@@ -14,6 +14,7 @@ from flat4spec.group import (MAX_HOLONOMY_ORDER, AffineIsometry, GroupError,
                              is_diagonal_type, is_orientable, sunada_numbers,
                              sunada_tuple)
 from flat4spec.intlat import identity
+from flat4spec.qfield import QuadNumber
 from flat4spec.theta import heat_trace_poly
 
 from linalg import (det, element_fields, element_oracle, kernel_basis, mat_mul, mat_sub,
@@ -70,12 +71,6 @@ def test_matrix_part_must_be_orthogonal():
     with pytest.raises(GroupError):
         AffineIsometry.make([[1, 1, 0, 0], [0, 1, 0, 0],
                              [0, 0, 1, 0], [0, 0, 0, 1]], [0, 0, 0, 0])
-
-
-def test_computed_consistency_flag_is_kept_over_metadata(catalog):
-    G = build_group(catalog.group("29'").generators,
-                    metadata={"translation_consistent": True, "table": "x"})
-    assert G.metadata == {"translation_consistent": False, "table": "x"}
 
 
 def test_translation_is_normalized():
@@ -262,7 +257,7 @@ def _closure(generators):
         G = build_group(generators)
     except GroupError as exc:
         return str(exc)
-    return tuple((g.B, g.b) for g in G.holonomy), G.metadata["translation_consistent"]
+    return tuple((g.B, g.b) for g in G.holonomy), G.translation_consistent
 
 
 def test_closure_matches_oracle_on_catalog(catalog):
@@ -441,7 +436,7 @@ def test_one_cycle_walk_per_element(catalog, monkeypatch):
 
 def test_translation_consistency_flags(catalog):
     for entry in catalog:
-        flag = entry.group.metadata["translation_consistent"]
+        flag = entry.group.translation_consistent
         assert flag == (entry.id != "29'"), entry.id
 
 
@@ -478,9 +473,16 @@ def test_holonomy_orders(catalog):
     assert max(orders.values()) == 8
 
 
-def test_volume_uses_component_norms():
+def test_volume_uses_component_norms(catalog):
     g = iso(((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 0, 0)),
             [Fraction(1, 3), 0, 0, 0])
     dec = g.decomposition()
     assert float(dec.volume()) == pytest.approx(3 ** 0.5)
     assert g.translation_offsets() == ((1, Fraction(1, 3)), (3, Fraction(0)))
+    # the volume sqrt(prod d) is the product of the component norms sqrt(d)
+    for entry in catalog:
+        for h in entry.group.holonomy:
+            dec, want = h.decomposition(), QuadNumber(1)
+            for comp in dec.components:
+                want = want * QuadNumber.sqrt_int(comp.d)
+            assert dec.volume() == want, (entry.id, h.B)

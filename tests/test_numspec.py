@@ -108,10 +108,11 @@ def test_multiplicity_does_not_depend_on_object_identity(catalog):
     # so its id); results must follow the group's value, not its address
     torus, two = catalog.group("1"), catalog.group("2")
     for _ in range(50):
-        G = BieberbachGroup(torus.name, torus.generators, torus.holonomy, torus.metadata)
+        G = BieberbachGroup(torus.name, torus.generators, torus.holonomy,
+                            torus.translation_consistent)
         assert multiplicity(G, 0, 1) == 8
         del G
-        G = BieberbachGroup(two.name, two.generators, two.holonomy, two.metadata)
+        G = BieberbachGroup(two.name, two.generators, two.holonomy, two.translation_consistent)
         assert multiplicity(G, 0, 1) == 5
 
 

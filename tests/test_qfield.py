@@ -35,6 +35,39 @@ def test_sqrt_int():
         QuadNumber.sqrt_int(0)
 
 
+def sqrt_int_by_trial_division(n: int) -> QuadNumber:
+    """Oracle: split n into square * squarefree by trial division."""
+    square, free = 1, 1
+    m, p = n, 2
+    while p * p <= m:
+        while m % (p * p) == 0:
+            square *= p
+            m //= p * p
+        if m % p == 0:
+            free *= p
+            m //= p
+        p += 1
+    free *= m
+    if free not in (1, 2, 3, 6):
+        raise UnrepresentableRadical(f"sqrt({n}) is not in Q(sqrt2, sqrt3)")
+    return QuadNumber(*[square if f == free else 0 for f in (1, 2, 3, 6)])
+
+
+def test_sqrt_int_matches_trial_division():
+    for n in range(1, 5001):
+        try:
+            want = sqrt_int_by_trial_division(n)
+        except UnrepresentableRadical:
+            with pytest.raises(UnrepresentableRadical):
+                QuadNumber.sqrt_int(n)
+        else:
+            assert QuadNumber.sqrt_int(n) == want, n
+            assert want * want == n, n
+    for n in (0, -1, -2, -4, -6, -5000):
+        with pytest.raises(ValueError, match="positive integer"):
+            QuadNumber.sqrt_int(n)
+
+
 @given(quads)
 def test_sqrt_squares_back(q):
     sq = q * q

@@ -147,11 +147,13 @@ def test_affine_isometry_equality_and_hash_after_normalization():
 
 
 def test_bieberbach_group_ignores_metadata(catalog):
+    # the translation-consistency flag is kept, and shown, but not compared
     G = catalog.group("2")
-    H = BieberbachGroup(G.name, G.generators, G.holonomy, {"other": True})
+    H = BieberbachGroup(G.name, G.generators, G.holonomy, False)
     assert H == G and hash(H) == hash(G)
-    assert H.metadata == {"other": True}
-    assert BieberbachGroup(G.name, G.generators, G.holonomy).metadata == {}
+    assert H.translation_consistent is False and G.translation_consistent is True
+    assert BieberbachGroup(G.name, G.generators, G.holonomy).translation_consistent is True
+    assert repr(H).endswith(", translation_consistent=False)")
     assert H != BieberbachGroup("2'", G.generators, G.holonomy)
 
 
@@ -164,11 +166,12 @@ def test_affine_isometry_fields_are_read_only(field):
         delattr(g, field)
 
 
-@pytest.mark.parametrize("field", ["name", "generators", "holonomy", "metadata"])
+@pytest.mark.parametrize("field", ["name", "generators", "holonomy",
+                                   "translation_consistent"])
 def test_bieberbach_group_fields_are_read_only(catalog, field):
     # a copy, so that a failure cannot corrupt the shared catalog
     G = catalog.group("2")
-    G = BieberbachGroup(G.name, G.generators, G.holonomy, dict(G.metadata))
+    G = BieberbachGroup(G.name, G.generators, G.holonomy, G.translation_consistent)
     with pytest.raises(AttributeError):
         setattr(G, field, None)
     with pytest.raises(AttributeError):
