@@ -8,20 +8,22 @@ Composition follows from the action:
     (B, b) * (B', b') = (B B', B'^T b + b')      (translation part mod Z^4)
 
 Every element is set up in one place, `AffineIsometry._set`, from the
-signed-permutation code of B (intlat.signed_code), ints t in [0, D)^n with
-b = t/D, and a table of the fractions k/D (`_Fractions`).  `__init__` checks
-the matrix and that b has one entry per row, then turns b into ints, D the
-lcm of its denominators; `_from_code` skips the checks for a known code.
-Products and inverses run on codes and ints through intlat.code_compose, and
-so does `build_group`: it closes the generators under that one rule, mod D
-the lcm of theirs, and gives every holonomy element the group's one table.
-It refuses generators that are not 4x4 with 4 translation entries.
+signed-permutation code of B (intlat.signed_code) and ints t in [0, D)^n with
+b = t/D.  `__init__` checks the matrix and that b has one entry per row, then
+turns b into ints, D the lcm of its denominators; `_from_code` skips the
+checks for a known code.  Products and inverses run on codes and ints through
+intlat.code_compose, and so does `build_group`: it closes the generators under
+that one rule, mod D the lcm of theirs, and gives every holonomy element that
+D.  It refuses generators that are not 4x4 with 4 translation entries.
 
 `_set` also computes every other per-element field from the ints, so an
 element is complete when it is made: the sum s_j = t . u_j per fixed
 component u_j (a nontrivial element fixes a point iff every s_j is 0 mod D),
-and the folded offsets min(r_j, D - r_j) of r_j = s_j mod D, counted into the
-theta monomial.  Offsets become `Fraction`s last, through the table.
+the folded offsets min(r_j, D - r_j) of r_j = s_j mod D, and the theta
+monomial they count into, keyed on ((d, num, den), exponent) in lowest terms
+so that it does not depend on D.  An element keeps no `Fraction`: b, the
+offsets and the theta monomial become `Fraction`s in the methods that return
+them, and the trace-sum table makes each distinct monomial once.
 
 The matrix, the p-form traces, the fixed decomposition and the signed cycles
 of a code come from one walk over its cycles (intlat.code_cycles), memoised
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from . import intlat
@@ -70,20 +72,9 @@ def _code_invariants(code: IntVector) -> tuple[IntMatrix, tuple[tuple[int, ...],
             (cycle_charpoly(cycles), intlat.cycle_decomposition(cycles), cycles))
 
 
-class _Fractions(dict):
-    """k -> Fraction(k, D) and (d, k) -> (d, Fraction(k, D)), each made on first use.
-
-    Made for the residues in use, not for every k < D: D comes from outside.
-    """
-    __slots__ = ("D",)
-
-    def __init__(self, D: int):
-        self.D = D
-
-    def __missing__(self, key):
-        value = self[key] = (Fraction(key, self.D) if type(key) is int
-                             else (key[0], self[key[1]]))
-        return value
+def _fraction_monomial(key: tuple) -> tuple[tuple[tuple[int, Fraction], int], ...]:
+    """The theta monomial ((d, r), e) of an int key ((d, num, den), e)."""
+    return tuple([((d, Fraction(n, den)), e) for (d, n, den), e in key])
 
 
 class _Frozen:
@@ -108,35 +99,40 @@ class AffineIsometry(_Frozen):
             raise GroupError(f"a {len(B)}x{len(B)} matrix needs {len(B)} translation "
                              f"entries, not {len(b)}")
         D = lcm(*[x.denominator for x in b])
-        self._set(code, tuple([x.numerator * (D // x.denominator) % D for x in b]),
-                  _Fractions(D))
+        self._set(code, tuple([x.numerator * (D // x.denominator) % D for x in b]), D)
 
     @classmethod
-    def _from_code(cls, code: IntVector, t: IntVector, fractions: _Fractions) -> "AffineIsometry":
-        """The element (B, t/D) for a valid code of B, t in [0, D)^n and D = fractions.D."""
+    def _from_code(cls, code: IntVector, t: IntVector, D: int) -> "AffineIsometry":
+        """The element (B, t/D) for a valid code of B and t in [0, D)^n."""
         self = object.__new__(cls)
-        self._set(code, t, fractions)
+        self._set(code, t, D)
         return self
 
-    def _set(self, code: IntVector, t: IntVector, fractions: _Fractions) -> None:
+    def _set(self, code: IntVector, t: IntVector, D: int) -> None:
         B, invariants = _code_invariants(code)
         # s_j = t . u_j per signed cycle of sign product +1; the folded pairs
         # (d_j, min(r_j, D - r_j)) sort on ints as their fractions would
-        D, sums, pairs = fractions.D, [], []
+        sums, pairs = [], []
         for orbit, eps in invariants[2]:
             if eps == 1:
                 sums.append(sum([t[a] if s > 0 else -t[a] for a, s in orbit]))
                 r = sums[-1] % D
                 pairs.append((len(orbit), min(r, D - r)))
         ordered = sorted(pairs)
-        # the fields B and b, then what is kept outside the compared and hashed fields
-        for name, value in (("B", B), ("b", tuple([fractions[x] for x in t])),
-                            ("_code", code), ("_t", t), ("_fractions", fractions),
+        theta = []
+        for d, k in dict.fromkeys(ordered):
+            g = gcd(k, D)
+            theta.append(((d, k // g, D // g), ordered.count((d, k))))
+        # the field B, then what is kept outside the compared and hashed fields
+        for name, value in (("B", B), ("_code", code), ("_t", t), ("_D", D),
                             ("_cycle_invariants", invariants), ("_sums", tuple(sums)),
-                            ("_offsets", tuple([fractions[p] for p in pairs])),
-                            ("_theta_monomial", tuple([(fractions[p], ordered.count(p))
-                                                       for p in dict.fromkeys(ordered)]))):
+                            ("_offsets", tuple(pairs)), ("_theta_key", tuple(theta))):
             object.__setattr__(self, name, value)
+
+    @property
+    def b(self) -> RatVector:
+        D = self._D
+        return tuple([Fraction(x, D) for x in self._t])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -151,25 +147,27 @@ class AffineIsometry(_Frozen):
 
     @classmethod
     def make(cls, B: Sequence[Sequence[int]], b: Sequence) -> "AffineIsometry":
-        return cls(tuple(tuple(int(x) for x in row) for row in B), b)
+        M = tuple(tuple(int(x) for x in row) for row in B)
+        if M != tuple(map(tuple, B)):
+            raise GroupError("matrix entries must be integers")
+        return cls(M, b)
 
     @classmethod
     def identity(cls, n: int = 4) -> "AffineIsometry":
         return cls(intlat.identity(n), (Fraction(0),) * n)
 
     def __mul__(self, other: "AffineIsometry") -> "AffineIsometry":
-        E, F = self._fractions.D, other._fractions.D
+        E, F = self._D, other._D
         D = lcm(E, F)
         M, t = code_compose(self._code, [x * (D // E) for x in self._t],
                             other._code, [x * (D // F) for x in other._t])
-        fractions = self._fractions if D == E else _Fractions(D)
-        return AffineIsometry._from_code(M, tuple([x % D for x in t]), fractions)
+        return AffineIsometry._from_code(M, tuple([x % D for x in t]), D)
 
     def inverse(self) -> "AffineIsometry":
         # (B^T, -B b)
-        D = self._fractions.D
+        D = self._D
         t = tuple([-x % D for x in code_product(self._code, self._t)])
-        return AffineIsometry._from_code(code_inverse(self._code), t, self._fractions)
+        return AffineIsometry._from_code(code_inverse(self._code), t, D)
 
     def apply(self, x: Sequence[Fraction]) -> RatVector:
         shifted = tuple(Fraction(xi) + bi for xi, bi in zip(x, self.b))
@@ -193,7 +191,8 @@ class AffineIsometry(_Frozen):
         r_i = (b . u_i) mod 1 folded into [0, 1/2]; r and 1 - r give the same
         theta value and the same squared length set.
         """
-        return self._offsets
+        D = self._D
+        return tuple([(d, Fraction(k, D)) for d, k in self._offsets])
 
     def theta_monomial(self) -> tuple[tuple[tuple[int, Fraction], int], ...]:
         """The sorted ((d, r), exponent) pairs of prod_i z_{d_i, r_i}.
@@ -201,7 +200,7 @@ class AffineIsometry(_Frozen):
         It does not depend on the form degree p; it equals
         theta.monomial(((d, r), 1) for d, r in self.translation_offsets()).
         """
-        return self._theta_monomial
+        return _fraction_monomial(self._theta_key)
 
     def is_fixed_point_free(self) -> bool:
         """True when no translate B L_{b + lambda} fixes a point of R^n.
@@ -209,7 +208,7 @@ class AffineIsometry(_Frozen):
         Equivalent to some component offset of b being nonintegral, i.e. the
         minimal squared displacement on the fixed space is positive.
         """
-        D = self._fractions.D
+        D = self._D
         return any(s % D for s in self._sums)
 
 
@@ -252,10 +251,10 @@ class BieberbachGroup(_Frozen):
         """
         table: dict[tuple, tuple[int, ...]] = {}
         for g in self.holonomy:
-            mono, tr = g.theta_monomial(), g.traces()
-            cur = table.get(mono)
-            table[mono] = tr if cur is None else tuple([x + y for x, y in zip(cur, tr)])
-        return table
+            key, tr = g._theta_key, g.traces()
+            cur = table.get(key)
+            table[key] = tr if cur is None else tuple([x + y for x, y in zip(cur, tr)])
+        return {_fraction_monomial(key): sums for key, sums in table.items()}
 
     def nontrivial(self) -> tuple[AffineIsometry, ...]:
         return self.holonomy[1:]
@@ -272,9 +271,9 @@ def build_group(generators: Sequence[AffineIsometry], name: str = "") -> Bieberb
     """Close the generators modulo Z^4 and validate the Bieberbach conditions."""
     gens = tuple(generators)
     for k, g in enumerate(gens, 1):
-        check_shape(k, g.B, g.b)
-    D = lcm(*(g._fractions.D for g in gens))
-    scaled = [(g._code, [x * (D // g._fractions.D) for x in g._t]) for g in gens]
+        check_shape(k, g.B, g._t)
+    D = lcm(*(g._D for g in gens))
+    scaled = [(g._code, [x * (D // g._D) for x in g._t]) for g in gens]
     # code -> D * translation mod D of the first representative found
     elements = {_IDENTITY_CODE: [0] * 4}
     consistent = True
@@ -297,13 +296,12 @@ def build_group(generators: Sequence[AffineIsometry], name: str = "") -> Bieberb
                     # representative found per matrix (breadth-first, hence
                     # deterministic) and record the inconsistency.
                     consistent = False
-    fractions = _Fractions(D)
     # identity first, then sorted by matrix (each matrix occurs once)
     codes = sorted(elements, key=lambda M: _code_invariants(M)[0])
     codes.remove(_IDENTITY_CODE)
     holonomy = []
     for M in [_IDENTITY_CODE, *codes]:
-        g = AffineIsometry._from_code(M, tuple(elements[M]), fractions)
+        g = AffineIsometry._from_code(M, tuple(elements[M]), D)
         if M != _IDENTITY_CODE and not g.is_fixed_point_free():
             raise GroupError(f"not torsion-free: element with matrix {g.B} fixes a point")
         holonomy.append(g)

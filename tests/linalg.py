@@ -87,7 +87,7 @@ def element_fields(g) -> tuple:
     Also checks that b = t/D for the element's ints t in [0, D)^n.  The raw
     offsets are its kept sums s_j reduced: (s_j mod D) / D.
     """
-    D, t = g._fractions.D, g._t
+    D, t = g._D, g._t
     assert all(0 <= x < D for x in t) and g.b == tuple(Fraction(x, D) for x in t), g
     return (g.b, tuple(Fraction(s, D) for s in g._sums),
             tuple(Fraction(s % D, D) for s in g._sums),

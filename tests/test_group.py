@@ -9,8 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flat4spec import group, intlat, kraw
-from flat4spec.group import (MAX_HOLONOMY_ORDER, AffineIsometry, GroupError,
-                             betti, build_group, is_abelian_holonomy,
+from flat4spec.group import (MAX_HOLONOMY_ORDER, AffineIsometry, BieberbachGroup,
+                             GroupError, betti, build_group, is_abelian_holonomy,
                              is_diagonal_type, is_orientable, sunada_numbers,
                              sunada_tuple)
 from flat4spec.intlat import identity
@@ -71,6 +71,40 @@ def test_matrix_part_must_be_orthogonal():
     with pytest.raises(GroupError):
         AffineIsometry.make([[1, 1, 0, 0], [0, 1, 0, 0],
                              [0, 0, 1, 0], [0, 0, 0, 1]], [0, 0, 0, 0])
+
+
+def test_make_refuses_nonintegral_matrix_entries():
+    half = (0, 0, 0, "1/2")
+    with pytest.raises(GroupError, match="matrix entries must be integers"):
+        AffineIsometry.make(((1.5, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1.9)), half)
+    # integral values of another type are read as ints
+    g = AffineIsometry.make(((1.0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), half)
+    assert g == AffineIsometry(identity(4), half)
+    assert all(type(x) is int for row in g.B for x in row)
+
+
+twelfths = st.fractions(min_value=0, max_value=1, max_denominator=12)
+
+
+@given(st.builds(AffineIsometry, signed_perms, st.tuples(twelfths, twelfths, twelfths, twelfths)),
+       st.integers(2, 12))
+def test_element_does_not_depend_on_its_denominator(g, k):
+    # the same (B, b) kept as ints over k*D
+    h = AffineIsometry._from_code(g._code, tuple(k * x for x in g._t), k * g._D)
+    assert h == g and hash(h) == hash(g)
+    assert (h.b, h.translation_offsets(), h.theta_monomial(), h.is_fixed_point_free()) == \
+        (g.b, g.translation_offsets(), g.theta_monomial(), g.is_fixed_point_free())
+
+
+def test_trace_table_of_elements_with_mixed_denominators(catalog):
+    # rebuilt by hand, each element keeps the D of its own b: the identity
+    # D = 1, the others 1, 2, 3, 4 or 6, so every group but the torus mixes them
+    for entry in catalog:
+        G = entry.group
+        H = BieberbachGroup(G.name, G.generators,
+                            tuple(AffineIsometry(h.B, h.b) for h in G.holonomy))
+        assert H == G
+        assert H.trace_table == G.trace_table, entry.id
 
 
 def test_translation_is_normalized():

@@ -178,13 +178,25 @@ def test_bieberbach_group_fields_are_read_only(catalog, field):
         delattr(G, field)
 
 
+def _leaves(value):
+    if isinstance(value, tuple):  # named tuples included
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
 def test_per_element_caches_live_in_the_instance_dict(catalog):
-    # every field is set when the element is made, before any read
+    # every field is set when the element is made, before any read, and each
+    # is made of ints: b, the offsets and the theta monomial become Fractions
+    # only when a method returns them
     h = catalog.group("2").holonomy[1]
     g = AffineIsometry(h.B, h.b)
-    assert {"_code", "_t", "_fractions", "_cycle_invariants", "_sums", "_offsets",
-            "_theta_monomial"} <= set(vars(g))
-    assert vars(g)["_theta_monomial"] is g.theta_monomial()
+    assert set(vars(g)) == {"B", "_code", "_t", "_D", "_cycle_invariants", "_sums",
+                            "_offsets", "_theta_key"}
+    assert all(type(x) is int for value in vars(g).values() for x in _leaves(value))
+    assert g.theta_monomial() == tuple(((d, Fraction(n, den)), e)
+                                       for (d, n, den), e in vars(g)["_theta_key"])
 
 
 def test_default_containers_are_not_shared():
