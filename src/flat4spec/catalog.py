@@ -12,9 +12,10 @@ entries, while `zeta`, `spectrum`, `lengths` and `invariants`/`crosscheck`
 with ids revalidate only the entries they read.  The generators must close
 to a torsion-free group, and the stored Betti numbers, orientability,
 diagonal-type flag, translation-consistency flag (absent means true), Sunada
-numbers and holonomy label (by its count of elements of each order) must
-match recomputation.  The three flags must be JSON booleans, and only a
-diagonal-type entry may store Sunada numbers, computed or printed.
+numbers and holonomy label (by its count of elements of each order,
+`AffineIsometry.holonomy_order`) must match recomputation.  The three flags
+must be JSON booleans, and only a diagonal-type entry may store Sunada
+numbers, computed or printed.
 Validation failures raise CatalogError listing the offending entry ids.
 """
 from __future__ import annotations
@@ -22,14 +23,11 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
 from pathlib import Path
 from typing import NamedTuple
 
 from .group import (AffineIsometry, BieberbachGroup, betti, build_group, check_shape,
                     is_diagonal_type, is_orientable, sunada_tuple)
-from .intlat import Cycles
 
 ENV_VAR = "FLAT4SPEC_CATALOG"
 EXPECTED_COUNT = 77
@@ -103,12 +101,6 @@ def _translation_entry(x, k: int, parsed: dict[str, Fraction]) -> Fraction:
     return Fraction(x)  # an int; another JSON type raises TypeError
 
 
-@lru_cache(maxsize=384)  # one entry per signed permutation
-def _order(cycles: Cycles) -> int:
-    """Order of the signed permutation with these cycles: lcm of len, or 2*len if eps = -1."""
-    return lcm(*[len(orbit) if eps == 1 else 2 * len(orbit) for orbit, eps in cycles])
-
-
 def _entry_group(raw: dict, parsed: dict[str, Fraction]) -> BieberbachGroup:
     """The entry's group; `parsed` maps each translation string read so far to its value."""
     gens = []
@@ -162,7 +154,7 @@ def _validate_entry(raw: dict, parsed: dict[str, Fraction]) -> CatalogEntry:
     if type(label) is not str or label not in _ORDER_COUNTS:
         raise CatalogError(f"unknown holonomy {label!r}; known: {', '.join(_ORDER_COUNTS)}")
     for g in G.holonomy:
-        order = _order(g.cycles())
+        order = g.holonomy_order()
         orders[order] = orders.get(order, 0) + 1
     if orders != _ORDER_COUNTS[label]:
         raise CatalogError(f"holonomy mismatch: stored {label}, computed element orders "

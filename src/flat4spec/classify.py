@@ -3,10 +3,11 @@
 Every relation is equality of one key, `signature(G, mode)`: the holonomy
 order |F| and the mode's invariant, so only groups of equal order are ever
 related.  `classify_all` buckets by the key, and each comparator compares it.
-The heat-trace modes key on the integer trace sums per theta monomial, equal
-at equal order exactly when the heat traces are (theta.trace_sums); L on the
-monomial support of the 0-form heat trace; bracketL on class counts by squared
-length (lengths).  A key that cannot be computed (nondiagonal type for sunada,
+The heat-trace modes key on the integer trace sums per int theta key
+((d, num, den), e) (theta.trace_sums), equal at equal order exactly when the
+heat traces are; L on the keys with a nonzero 0-form sum, the monomial
+support of the 0-form heat trace; bracketL on class counts by squared length
+(lengths).  A key that cannot be computed (nondiagonal type for sunada,
 non-closing translations for class counts) is a per-entry error in
 `classify_all` and an exception in the comparators.
 """

@@ -22,16 +22,16 @@ component u_j (a nontrivial element fixes a point iff every s_j is 0 mod D),
 the folded offsets min(r_j, D - r_j) of r_j = s_j mod D, and the theta
 monomial they count into, keyed on ((d, num, den), exponent) in lowest terms
 so that it does not depend on D.  An element keeps no `Fraction`: b, the
-offsets and the theta monomial become `Fraction`s in the methods that return
-them, and the trace-sum table makes each distinct monomial once.
+offsets and the theta monomial become `Fraction`s in the methods returning them.
 
-The matrix, the p-form traces, the fixed decomposition and the signed cycles
-of a code come from one walk over its cycles (intlat.code_cycles), memoised
-per code by `_code_invariants` for all |B4| = 384 signed permutations.  Betti
-numbers, orientability (det B = tr_4 B), Sunada numbers and the length
-spectra (lengths) read these values.  A group keeps one trace-sum table,
-{theta monomial: (sum tr_0, ..., sum tr_4)} over its holonomy, built in one
-pass; heat traces and classification read it.
+The matrix, the p-form traces, the fixed decomposition, the signed cycles and
+the order of a code come from one walk over its cycles (intlat.code_cycles),
+memoised per code by `_code_invariants` for all |B4| = 384 signed
+permutations; Betti numbers, orientability (det B = tr_4 B), Sunada numbers,
+holonomy labels and length spectra (lengths) read them.  A group's one
+trace-sum table, {theta key: (sum tr_0, ..., sum tr_4)} over its holonomy,
+adds traces on the int keys; heat traces, classification and the eigenvalue
+series read it, and only theta.heat_trace_poly makes `Fraction` monomials.
 
 `AffineIsometry` and `BieberbachGroup` are read-only: assignment and deletion
 raise AttributeError, and equality and hash read only (B, b) or (name,
@@ -60,16 +60,17 @@ class GroupError(ValueError):
 
 
 @lru_cache(maxsize=384)  # |B4|: every 4x4 signed permutation fits
-def _code_invariants(code: IntVector) -> tuple[IntMatrix, tuple[tuple[int, ...], FixedDecomposition, Cycles]]:
-    """(B, (p-form traces, fixed decomposition, signed cycles)) of the signed permutation.
+def _code_invariants(code: IntVector) -> tuple[IntMatrix, tuple]:
+    """(B, (p-form traces, fixed decomposition, signed cycles, order)) of the signed permutation.
 
-    One walk over the cycles of the code.  The value depends on the code
-    alone and is immutable, so sharing it between elements and groups
-    changes no result.
+    One walk over the cycles of the code; the order is the lcm of len, or
+    2*len if eps = -1.  The value depends on the code alone and is
+    immutable, so sharing it between elements and groups changes no result.
     """
     cycles = intlat.code_cycles(code)
+    order = lcm(*[len(orbit) if eps == 1 else 2 * len(orbit) for orbit, eps in cycles])
     return (intlat.code_matrix(code),
-            (cycle_charpoly(cycles), intlat.cycle_decomposition(cycles), cycles))
+            (cycle_charpoly(cycles), intlat.cycle_decomposition(cycles), cycles, order))
 
 
 def _fraction_monomial(key: tuple) -> tuple[tuple[tuple[int, Fraction], int], ...]:
@@ -185,6 +186,10 @@ class AffineIsometry(_Frozen):
         """The signed cycles of B (intlat.code_cycles)."""
         return self._cycle_invariants[2]
 
+    def holonomy_order(self) -> int:
+        """The order of B: the least k >= 1 with B^k = Id."""
+        return self._cycle_invariants[3]
+
     def translation_offsets(self) -> tuple[tuple[int, Fraction], ...]:
         """Pairs (d_i, r_i): component support size and folded offset of b.
 
@@ -244,17 +249,17 @@ class BieberbachGroup(_Frozen):
 
     @cached_property
     def trace_table(self) -> dict[tuple, tuple[int, ...]]:
-        """{theta monomial m: (c_{0,m}, ..., c_{4,m})}, built in one pass; read only.
+        """{theta key m: (c_{0,m}, ..., c_{4,m})}, built in one pass; read only.
 
-        c_{p,m} is the sum of tr_p(B) over the holonomy elements with theta
-        monomial m.  Every c_{0,m} counts elements, so it is positive.
+        m is an element's int key ((d, num, den), e), and c_{p,m} the sum of
+        tr_p(B) over the elements with key m.  Every c_{0,m} is positive.
         """
         table: dict[tuple, tuple[int, ...]] = {}
         for g in self.holonomy:
             key, tr = g._theta_key, g.traces()
             cur = table.get(key)
             table[key] = tr if cur is None else tuple([x + y for x, y in zip(cur, tr)])
-        return {_fraction_monomial(key): sums for key, sums in table.items()}
+        return table
 
     def nontrivial(self) -> tuple[AffineIsometry, ...]:
         return self.holonomy[1:]
@@ -347,11 +352,11 @@ def sunada_numbers(G: BieberbachGroup) -> dict[tuple[int, int], int]:
         raise GroupError("Sunada numbers need a diagonal-type group")
     counts = {(d, t): 0 for d in range(1, 5) for t in range(0, d + 1)}
     for g in G.nontrivial():
-        # one d = 1 component per +1 diagonal entry; its folded offset is 0 or 1/2
-        dens = [r.denominator for _, r in g.translation_offsets()]
-        if any(x > 2 for x in dens):
+        # one d = 1 component per +1 diagonal entry; its folded offset k/D is 0 or 1/2
+        D, ks = g._D, [k for _, k in g._offsets]
+        if any(2 * k % D for k in ks):
             raise GroupError("diagonal group with offsets outside {0, 1/2}")
-        counts[(len(dens), dens.count(2))] += 1
+        counts[(len(ks), sum(1 for k in ks if k))] += 1
     return counts
 
 

@@ -65,8 +65,7 @@ def coset_geometry(g: AffineIsometry) -> CosetGeometry:
     sums, cycles = g._sums, g.cycles()
     if not sums:
         raise LengthError("element with empty fixed lattice is not torsion-free")
-    return CosetGeometry(g._code, g._D, g._t,
-                         tuple([len(orbit) for orbit, eps in cycles if eps == 1]), sums, cycles)
+    return CosetGeometry(g._code, g._D, g._t, tuple([d for d, _ in g._offsets]), sums, cycles)
 
 
 # -- squared length values -------------------------------------------------

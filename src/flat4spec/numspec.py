@@ -8,7 +8,8 @@ trace polynomial of `theta`.  With q = exp(-4 pi^2 s), z_{d,r}(s) = sqrt(d) thet
 
 and the sqrt(d_i) cancel an element's factor 1/vol = 1/sqrt(prod_i d_i), so
 sum_mu d_{p,mu} q^mu = (1/|F|) sum_m c_{p,m} prod_{(d,r)^e in m} theta_{d,r}(q)^e
-with c_{p,m} the integer trace sums of `theta.trace_sums`.  One element's q^mu
+with c_{p,m} the integer trace sums of `theta.trace_sums`, read on their int
+keys ((d, num, den), e): n r has denominator den / gcd(n num, den).  One element's q^mu
 coefficient is its e-sum, the sum of exp(-2 pi i v.b) over v in Z^4 with
 |v|^2 = mu and B v = v; those v are the sums n_i u_i over the fixed components.
 
@@ -21,10 +22,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import exp, isqrt, pi
+from math import exp, gcd, isqrt, pi
 
 from .group import BieberbachGroup
-from .theta import Monomial, trace_sums
+from .theta import trace_sums
 
 # 2 cos(2 pi k / L) for k prime to L, for the denominators L where it is an integer
 _TWO_COS = {1: 2, 2: -2, 3: -1, 4: 0, 6: 1}
@@ -56,16 +57,15 @@ def lattice_shell(mu: int) -> tuple[tuple[int, int, int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _series(mono: Monomial, N: int) -> tuple[int, ...]:
-    """Coefficients of q^0, ..., q^N in prod theta_{d,r}(q)^e over the monomial."""
+def _series(key: tuple, N: int) -> tuple[int, ...]:
+    """Coefficients of q^0, ..., q^N in prod theta_{d,r}(q)^e, r = num/den, over a theta key."""
     out = [1] + [0] * N
-    for (d, r), e in mono:
+    for (d, num, den), e in key:
         terms = []  # (d n^2, 2 cos(2 pi n r)) for the nonzero terms with n >= 1
         for n in range(1, isqrt(N // d) + 1):
-            phase = n * r
-            c = _TWO_COS.get(phase.denominator)
+            c = _TWO_COS.get(den // gcd(n * num, den))  # the denominator of n r
             if c is None:
-                raise ArithmeticError(f"cos(2 pi {phase}) is not rational")
+                raise ArithmeticError(f"cos(2 pi {Fraction(n * num, den)}) is not rational")
             if c:
                 terms.append((d * n * n, c))
         for _ in range(e):
@@ -81,7 +81,7 @@ def e_term(g, mu: int) -> int:
     """Exact sum of exp(-2 pi i v.b) over shell vectors fixed by the matrix part."""
     if mu < 0:
         raise ValueError("shell index must be nonnegative")
-    return _series(g.theta_monomial(), mu)[mu]
+    return _series(g._theta_key, mu)[mu]
 
 
 def multiplicities(G: BieberbachGroup, p: int, mu_max: int) -> list[int]:
@@ -89,8 +89,8 @@ def multiplicities(G: BieberbachGroup, p: int, mu_max: int) -> list[int]:
     if mu_max < 0:
         raise ValueError("shell index must be nonnegative")
     totals = [0] * (mu_max + 1)
-    for mono, tr in trace_sums(G, p).items():
-        for mu, c in enumerate(_series(mono, mu_max)):
+    for key, tr in trace_sums(G, p).items():
+        for mu, c in enumerate(_series(key, mu_max)):
             totals[mu] += tr * c
     for total in totals:
         if total % G.order:

@@ -18,9 +18,11 @@ explicit scale, so stored coefficients are |F| times the true ones.
 A monomial m fixes the product D of its dimensions, so its coefficient is
 sqrt(D)/D times the integer trace sum c_{p,m} over the elements with that
 monomial.  The group keeps these sums in one table (BieberbachGroup.trace_table,
-built once per group); `trace_sums` reads it, and at equal order two heat traces
-are equal exactly when their nonzero sums are.  `theta_value` is memoised per
-process, with a bound, so `crosscheck` sums each variable once per (s, terms).
+built once per group) keyed on ints ((d, num, den), e) with r = num/den;
+`trace_sums` reads it on those keys, and at equal order two heat traces are
+equal exactly when their nonzero sums are.  Only `heat_trace_poly` makes
+`Fraction` monomials, one per key.  `theta_value` is memoised per process,
+with a bound, so `crosscheck` sums each variable once per (s, terms).
 
 qfield is imported only where a QuadNumber is made (`_coefficient` and
 `HeatTracePoly.from_terms`), so `trace_sums`, which classify and numspec read,
@@ -38,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from .group import BieberbachGroup
+from .group import BieberbachGroup, _fraction_monomial
 
 if TYPE_CHECKING:
     from .qfield import QuadNumber
@@ -151,10 +153,11 @@ def theta_value(d: int, r, s: float, terms: int = 40) -> float:
     return total / math.sqrt(4.0 * math.pi * s)
 
 
-def trace_sums(G: BieberbachGroup, p: int) -> dict[Monomial, int]:
-    """c_{p,m}: the sum of tr_p(B) over the holonomy elements with theta monomial m.
+def trace_sums(G: BieberbachGroup, p: int) -> dict[tuple, int]:
+    """c_{p,m}: the sum of tr_p(B) over the holonomy elements with theta key m.
 
-    Read from the group's trace-sum table; monomials whose sum is 0 are dropped.
+    Read from the group's trace-sum table, keyed like it on ints
+    ((d, num, den), e); keys whose sum is 0 are dropped.
     """
     if not 0 <= p <= 4:
         raise ValueError("form degree out of range")
@@ -170,9 +173,7 @@ def _coefficient(D: int, tr: int) -> QuadNumber:
 
 def heat_trace_poly(G: BieberbachGroup, p: int) -> HeatTracePoly:
     """Exact p-form heat trace of R^4/G as a theta polynomial."""
-    # trace_sums has distinct monomials and nonzero sums: nothing to accumulate
-    terms = []
-    for mono, tr in sorted(trace_sums(G, p).items(), key=lambda kv: _mono_key(kv[0])):
-        D = math.prod(d ** e for (d, _), e in mono)
-        terms.append((mono, _coefficient(D, tr)))
-    return HeatTracePoly(G.order, tuple(terms))
+    # trace_sums has distinct keys and nonzero sums: nothing to accumulate
+    terms = [(_fraction_monomial(key), _coefficient(math.prod(d ** e for (d, _, _), e in key), tr))
+             for key, tr in trace_sums(G, p).items()]
+    return HeatTracePoly(G.order, tuple(sorted(terms, key=lambda kv: _mono_key(kv[0]))))

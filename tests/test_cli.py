@@ -1,13 +1,20 @@
+import contextlib
 import errno
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import flat4spec
 from flat4spec import catalog as catalog_module
 from flat4spec.catalog import catalog_path
 from flat4spec.cli import MIN_HEAT_TIME, main
@@ -305,3 +312,88 @@ def test_a_command_builds_only_the_groups_it_reads(capsys, monkeypatch, argv, bu
     monkeypatch.setattr(catalog_module, "build_group", counting)
     assert run(capsys, *argv)[0] == 0
     assert len(calls) == len(set(calls)) == builds
+
+
+# -- argv drawn from the parser's grammar ----------------------------------
+
+_IDS = [e["id"] for e in json.loads(Path(catalog_path()).read_text())["entries"]]
+# boundary and invalid values (1e-400 is a positive rational, but 0.0 as a float)
+_ODD_TOKENS = ["0", "-1", "5", "1/0", "nan", "1e-400", "abc", "", "inf", "1.5"]
+_NOWHERE = str(Path(__file__).resolve().parent / "no-such-dir" / "x.json")
+_degree = st.integers(0, 4).map(str)
+_len2 = st.fractions(Fraction(1, 12), 5, max_denominator=12).map(str)
+_bound = st.fractions(Fraction(1, 16), 1, max_denominator=16).map(str)
+# subcommand -> (least and most ids, {option: (valid values or None for a flag, always
+# given)}); sizes stay small: --max-mu <= 12, --max-len2 <= 5, --bound <= 1, and
+# --mu-max, --trunc <= 20
+_GRAMMAR = {
+    "validate": ((0, 0), {}),
+    "invariants": ((0, 3), {"--json": (None, False)}),
+    "zeta": ((1, 1), {"-p": (_degree, False)}),
+    "spectrum": ((1, 1), {"-p": (_degree, False),
+                          "--max-mu": (st.integers(0, 12).map(str), False)}),
+    "lengths": ((1, 1), {"--max-len2": (_len2, False), "--mult": (None, False)}),
+    "classify": ((0, 0), {"--mode": (st.sampled_from(flat4spec.MODES), False),
+                          "--bound": (_bound, True),
+                          "--json": (st.sampled_from([None, "-", _NOWHERE]), False)}),
+    "crosscheck": ((0, 3), {"-p": (_degree, False),
+                            "-s": (st.sampled_from(["1e-100", "0.08", "0.3", "1"]), False),
+                            "--mu-max": (st.integers(0, 20).map(str), True),
+                            "--trunc": (st.integers(0, 20).map(str), True),
+                            "--tol": (st.sampled_from(["0", "1e-8", "1e-3", "1"]), False)}),
+}
+
+
+@st.composite
+def _argv(draw):
+    """A valid argv, or (half the time) one with faults: bad values, ids or words."""
+    faulty = draw(st.booleans())
+    fault = (lambda: draw(st.booleans())) if faulty else (lambda: False)
+    argv = []
+    if fault():
+        argv += ["--catalog", draw(st.sampled_from([os.devnull, _NOWHERE, ""]))]
+    command = draw(st.sampled_from([*_GRAMMAR, "bogus", None]) if fault()
+                   else st.sampled_from(list(_GRAMMAR)))
+    if command not in _GRAMMAR:
+        return argv + ([command] if command else [])
+    (lo, hi), options = _GRAMMAR[command]
+    # a word after a bare classify --json would name the report file
+    if command != "classify" and fault():
+        lo, hi = 0, hi + 1
+    words = [draw(st.lists(st.sampled_from([*_IDS, "999"]), min_size=lo, max_size=hi))]
+    for flag, (valid, always) in options.items():
+        if always or draw(st.booleans()):
+            if valid is None:  # a flag
+                given = None
+            elif flag != "--json" and fault():  # classify --json takes a path to write
+                given = draw(st.sampled_from(_ODD_TOKENS))
+            else:
+                given = draw(valid)
+            words.append([flag] if given is None else [flag, given])
+    if fault():
+        words.append([draw(st.sampled_from(["--bogus", "-x"]))])
+    return argv + [command] + [w for ws in draw(st.permutations(words)) for w in ws]
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None)
+@given(_argv())
+def test_drawn_argv_exits_0_1_or_2(argv):
+    code, _, err = _run_in_process(argv)
+    assert code in (0, 1, 2), (argv, code)
+    lines = err.splitlines()
+    if code == 1:
+        assert lines, argv
+        assert (lines[-1].startswith("error:")
+                or re.match(r"\d+ mismatches above tolerance ", lines[-1])), (argv, err)
+    if code == 2:
+        assert any(line.startswith("usage:") for line in lines), (argv, err)

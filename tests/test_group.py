@@ -192,6 +192,17 @@ def test_product_matches_generic_formula():
             assert (got.B, got.b) == _generic_product((A, a), (B, b)), (A, a, B, b)
 
 
+def test_holonomy_order_matches_repeated_products():
+    # the least k >= 1 with code^k = identity, by repeated code products
+    unit = intlat.signed_code(identity(4))
+    for B in ALL_SIGNED_PERMS:
+        code = intlat.signed_code(B)
+        power, k = code, 1
+        while power != unit:
+            power, k = intlat.code_product(power, code), k + 1
+        assert AffineIsometry(B, (0,) * 4).holonomy_order() == k, B
+
+
 def test_code_arithmetic_matches_matrix_oracle(catalog):
     # products, inverses and the action on points run on signed-permutation
     # codes and integer translations; check them, and every field of the

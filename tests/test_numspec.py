@@ -174,12 +174,13 @@ def test_multiplicity_with_rational_phases_off_the_fixed_space():
 def test_multiplicity_refuses_nonintegral_sums(catalog, monkeypatch):
     G = catalog.group("2")
     assert G.order == 2
-    identity, other = (g.theta_monomial() for g in G.holonomy)
+    # _series receives each element's int theta key
+    identity, other = (g._theta_key for g in G.holonomy)
     assert identity != other
 
     def series(e_identity, e_other):
         # the q^1 coefficients of the two elements' series
-        return lambda mono, N: (0, e_identity if mono == identity else e_other)
+        return lambda key, N: (0, e_identity if key == identity else e_other)
 
     monkeypatch.setattr(numspec, "_series", series(1, 0))
     with pytest.raises(ArithmeticError, match="not integral"):

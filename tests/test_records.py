@@ -10,7 +10,8 @@ import pytest
 import flat4spec
 from flat4spec.catalog import Catalog, CatalogEntry
 from flat4spec.classify import ClassificationReport
-from flat4spec.group import AffineIsometry, BieberbachGroup
+from flat4spec.group import AffineIsometry, BieberbachGroup, _fraction_monomial
+from flat4spec.theta import trace_sums
 
 SRC = str(Path(flat4spec.__file__).resolve().parent.parent)
 
@@ -197,6 +198,18 @@ def test_per_element_caches_live_in_the_instance_dict(catalog):
     assert all(type(x) is int for value in vars(g).values() for x in _leaves(value))
     assert g.theta_monomial() == tuple(((d, Fraction(n, den)), e)
                                        for (d, n, den), e in vars(g)["_theta_key"])
+
+
+def test_trace_keys_stay_ints(catalog):
+    # the trace-sum table and the trace sums keep the elements' int keys;
+    # theta monomials are made of Fractions only by _fraction_monomial
+    for entry in catalog:
+        G = entry.group
+        tables = [G.trace_table, *(trace_sums(G, p) for p in range(5))]
+        for table in tables:
+            assert all(type(x) is int for key in table for x in _leaves(key)), entry.id
+        assert ({_fraction_monomial(key) for key in G.trace_table}
+                == {g.theta_monomial() for g in G.holonomy}), entry.id
 
 
 def test_default_containers_are_not_shared():
