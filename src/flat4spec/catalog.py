@@ -9,12 +9,13 @@ without duplicates, a matching count), then revalidates each entry it keeps:
 all of them by default, or only those named in `ids`.  So `validate`,
 `classify` and `invariants`/`crosscheck` without ids revalidate all 77
 entries, while `zeta`, `spectrum`, `lengths` and `invariants`/`crosscheck`
-with ids revalidate only the entries they read.  The generators must close
-to a torsion-free group, and the stored Betti numbers, orientability,
-diagonal-type flag, translation-consistency flag (absent means true), Sunada
-numbers and holonomy label (by its count of elements of each order,
-`AffineIsometry.holonomy_order`) must match recomputation.  The three flags
-must be JSON booleans, and only a diagonal-type entry may store Sunada
+with ids revalidate only the entries they read.  The generators must be 4x4
+with 4 translation entries (the engine takes n x n; only the catalog requires
+n = 4) and close to a torsion-free group, and the stored Betti numbers,
+orientability, diagonal-type flag, translation-consistency flag (absent means
+true), Sunada numbers and holonomy label (by its count of elements of each
+order, `AffineIsometry.holonomy_order`) must match recomputation.  The three
+flags must be JSON booleans, and only a diagonal-type entry may store Sunada
 numbers, computed or printed.
 Validation failures raise CatalogError listing the offending entry ids.
 """
@@ -26,8 +27,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from .group import (AffineIsometry, BieberbachGroup, betti, build_group, check_shape,
-                    is_diagonal_type, is_orientable, sunada_tuple)
+from .group import (AffineIsometry, BieberbachGroup, betti, build_group, is_diagonal_type,
+                    is_orientable, sunada_tuple)
 
 ENV_VAR = "FLAT4SPEC_CATALOG"
 EXPECTED_COUNT = 77
@@ -112,7 +113,9 @@ def _entry_group(raw: dict, parsed: dict[str, Fraction]) -> BieberbachGroup:
                     raise CatalogError(f"generator {k} matrix entries must be integers, "
                                        f"not {x!r}")
         translation = [_translation_entry(x, k, parsed) for x in g["translation"]]
-        check_shape(k, matrix, translation)
+        if len(matrix) != 4 or len(translation) != 4:
+            raise CatalogError(f"generator {k} has a {len(matrix)}x{len(matrix)} matrix and "
+                               f"{len(translation)} translation entries; expected 4x4 and 4")
         gens.append(AffineIsometry(matrix, translation))
     return build_group(gens, name=raw["id"])
 

@@ -1,11 +1,11 @@
-"""Bieberbach groups with translation lattice Z^4.
+"""Bieberbach groups with translation lattice Z^n.
 
 A group is generated by affine isometries gamma = B L_b acting by
 x -> B x + B b, with B a signed permutation matrix and b rational.  The
 holonomy group is the finite set of coset representatives mod the lattice.
 Composition follows from the action:
 
-    (B, b) * (B', b') = (B B', B'^T b + b')      (translation part mod Z^4)
+    (B, b) * (B', b') = (B B', B'^T b + b')      (translation part mod Z^n)
 
 Every element is set up in one place, `AffineIsometry._set`, from the
 signed-permutation code of B (intlat.signed_code) and ints t in [0, D)^n with
@@ -14,7 +14,8 @@ turns b into ints, D the lcm of its denominators; `_from_code` skips the
 checks for a known code.  Products and inverses run on codes and ints through
 intlat.code_compose, and so does `build_group`: it closes the generators under
 that one rule, mod D the lcm of theirs, and gives every holonomy element that
-D.  It refuses generators that are not 4x4 with 4 translation entries.
+D.  An element's n is the length of its code, and a group's that of its
+identity; only the catalog requires n = 4 (no generators give the 4-torus).
 
 `_set` also computes every other per-element field from the ints, so an
 element is complete when it is made: the sum s_j = t . u_j per fixed
@@ -27,9 +28,9 @@ offsets and the theta monomial become `Fraction`s in the methods returning them.
 The matrix, the p-form traces, the fixed decomposition, the signed cycles and
 the order of a code come from one walk over its cycles (intlat.code_cycles),
 memoised per code by `_code_invariants` for all |B4| = 384 signed
-permutations; Betti numbers, orientability (det B = tr_4 B), Sunada numbers,
-holonomy labels and length spectra (lengths) read them.  A group's one
-trace-sum table, {theta key: (sum tr_0, ..., sum tr_4)} over its holonomy,
+permutations; Betti numbers, orientability (det B = tr_n B), Sunada numbers
+(n = 4 only), holonomy labels and length spectra (lengths) read them.  A group's
+one trace-sum table, {theta key: (sum tr_0, ..., sum tr_n)} over its holonomy,
 adds traces on the int keys; heat traces, classification and the eigenvalue
 series read it, and only theta.heat_trace_poly makes `Fraction` monomials.
 
@@ -52,14 +53,13 @@ from .intlat import (Cycles, FixedDecomposition, IntMatrix, IntVector, RatVector
 from .kraw import cycle_charpoly
 
 MAX_HOLONOMY_ORDER = 48
-_IDENTITY_CODE = (1, 2, 3, 4)  # intlat.signed_code of the 4x4 identity
 
 
 class GroupError(ValueError):
     pass
 
 
-@lru_cache(maxsize=384)  # |B4|: every 4x4 signed permutation fits
+@lru_cache(maxsize=384)  # |B4|: every 4x4 signed permutation fits; other n evict
 def _code_invariants(code: IntVector) -> tuple[IntMatrix, tuple]:
     """(B, (p-form traces, fixed decomposition, signed cycles, order)) of the signed permutation.
 
@@ -155,6 +155,7 @@ class AffineIsometry(_Frozen):
 
     @classmethod
     def identity(cls, n: int = 4) -> "AffineIsometry":
+        """The identity of R^n, 4-dimensional unless n is given."""
         return cls(intlat.identity(n), (Fraction(0),) * n)
 
     def __mul__(self, other: "AffineIsometry") -> "AffineIsometry":
@@ -219,7 +220,7 @@ class AffineIsometry(_Frozen):
 
 class BieberbachGroup(_Frozen):
     """Compared and hashed by (name, generators, holonomy), not by the read-only flag
-    translation_consistent: whether the generators' products close over Z^4."""
+    translation_consistent: whether the generators' products close over Z^n."""
 
     def __init__(self, name: str, generators: tuple[AffineIsometry, ...],
                  holonomy: tuple[AffineIsometry, ...],  # identity first, then sorted
@@ -249,7 +250,7 @@ class BieberbachGroup(_Frozen):
 
     @cached_property
     def trace_table(self) -> dict[tuple, tuple[int, ...]]:
-        """{theta key m: (c_{0,m}, ..., c_{4,m})}, built in one pass; read only.
+        """{theta key m: (c_{0,m}, ..., c_{n,m})}, built in one pass; read only.
 
         m is an element's int key ((d, num, den), e), and c_{p,m} the sum of
         tr_p(B) over the elements with key m.  Every c_{0,m} is positive.
@@ -265,24 +266,19 @@ class BieberbachGroup(_Frozen):
         return self.holonomy[1:]
 
 
-def check_shape(k: int, B: Sequence, b: Sequence) -> None:
-    """Refuse generator k unless its matrix B is 4x4 and its translation b has 4 entries."""
-    if len(B) != 4 or len(b) != 4:
-        raise GroupError(f"generator {k} has a {len(B)}x{len(B)} matrix and "
-                         f"{len(b)} translation entries; expected 4x4 and 4")
-
-
 def build_group(generators: Sequence[AffineIsometry], name: str = "") -> BieberbachGroup:
-    """Close the generators modulo Z^4 and validate the Bieberbach conditions."""
+    """Close the n x n generators modulo Z^n and validate the Bieberbach conditions."""
     gens = tuple(generators)
-    for k, g in enumerate(gens, 1):
-        check_shape(k, g.B, g._t)
+    dims = {len(g._code) for g in gens} or {4}  # no generators: the 4-torus
+    if len(dims) > 1:
+        raise GroupError(f"generators of mixed dimensions {sorted(dims)}")
+    unit = tuple(range(1, dims.pop() + 1))  # the identity's code
     D = lcm(*(g._D for g in gens))
     scaled = [(g._code, [x * (D // g._D) for x in g._t]) for g in gens]
     # code -> D * translation mod D of the first representative found
-    elements = {_IDENTITY_CODE: [0] * 4}
+    elements = {unit: [0] * len(unit)}
     consistent = True
-    frontier = [_IDENTITY_CODE]
+    frontier = [unit]
     for cur in frontier:  # breadth-first: the loop reaches what it appends
         a = elements[cur]
         for B, b in scaled:
@@ -296,18 +292,18 @@ def build_group(generators: Sequence[AffineIsometry], name: str = "") -> Bieberb
                     elements[M] = t
                     frontier.append(M)
                 elif first != t:
-                    # The products do not close over Z^4; one catalog entry
+                    # The products do not close over Z^n; one catalog entry
                     # (29') has this defect as printed.  Keep the first
                     # representative found per matrix (breadth-first, hence
                     # deterministic) and record the inconsistency.
                     consistent = False
     # identity first, then sorted by matrix (each matrix occurs once)
     codes = sorted(elements, key=lambda M: _code_invariants(M)[0])
-    codes.remove(_IDENTITY_CODE)
+    codes.remove(unit)
     holonomy = []
-    for M in [_IDENTITY_CODE, *codes]:
+    for M in [unit, *codes]:
         g = AffineIsometry._from_code(M, tuple(elements[M]), D)
-        if M != _IDENTITY_CODE and not g.is_fixed_point_free():
+        if M != unit and not g.is_fixed_point_free():
             raise GroupError(f"not torsion-free: element with matrix {g.B} fixes a point")
         holonomy.append(g)
     return BieberbachGroup(name, gens, tuple(holonomy), consistent)
@@ -317,14 +313,13 @@ def build_group(generators: Sequence[AffineIsometry], name: str = "") -> Bieberb
 
 
 def is_orientable(G: BieberbachGroup) -> bool:
-    # det B = tr_4(B), the top coefficient of det(Id + t*B)
-    return all(g.traces()[4] == 1 for g in G.holonomy)
+    # det B = tr_n(B), the top coefficient of det(Id + t*B)
+    return all(g.traces()[-1] == 1 for g in G.holonomy)
 
 
 def is_diagonal_type(G: BieberbachGroup) -> bool:
-    # a signed permutation is diagonal iff no diagonal entry is zero
-    return all(g.B[0][0] and g.B[1][1] and g.B[2][2] and g.B[3][3]
-               for g in G.holonomy)
+    # a signed permutation is diagonal iff row i of its code is +-i
+    return all(abs(c) == i for g in G.holonomy for i, c in enumerate(g._code, 1))
 
 
 def is_abelian_holonomy(G: BieberbachGroup) -> bool:
@@ -333,8 +328,8 @@ def is_abelian_holonomy(G: BieberbachGroup) -> bool:
 
 
 def betti(G: BieberbachGroup, p: int) -> int:
-    """p-th Betti number, the average of p-form traces over the holonomy."""
-    if not 0 <= p <= 4:
+    """p-th Betti number, p = 0..n, the average of p-form traces over the holonomy."""
+    if not 0 <= p <= len(G.holonomy[0]._code):
         raise ValueError("form degree out of range")
     total = sum(g.traces()[p] for g in G.holonomy)
     if total % G.order != 0:
@@ -345,8 +340,8 @@ def betti(G: BieberbachGroup, p: int) -> int:
 def sunada_numbers(G: BieberbachGroup) -> dict[tuple[int, int], int]:
     """Counts c_{d,t} of nontrivial elements by (fixed rank, half offsets).
 
-    Only defined for diagonal type: d is the number of +1 diagonal entries of
-    B and t the number of fixed axes whose translation coordinate is 1/2.
+    Only defined for diagonal type with n = 4: d is the number of +1 diagonal
+    entries of B and t the number of fixed axes whose translation coordinate is 1/2.
     """
     if not is_diagonal_type(G):
         raise GroupError("Sunada numbers need a diagonal-type group")
@@ -361,7 +356,7 @@ def sunada_numbers(G: BieberbachGroup) -> dict[tuple[int, int], int]:
 
 
 def sunada_tuple(G: BieberbachGroup) -> tuple[int, ...]:
-    """(c_{1,1}, c_{2,1}, c_{2,2}, c_{3,1}, c_{3,2}, c_{3,3})."""
+    """(c_{1,1}, c_{2,1}, c_{2,2}, c_{3,1}, c_{3,2}, c_{3,3}): the paper's invariant, n = 4."""
     c = sunada_numbers(G)
     return (c[1, 1], c[2, 1], c[2, 2], c[3, 1], c[3, 2], c[3, 3])
 

@@ -1,4 +1,4 @@
-"""Signed-permutation codes and fixed lattices on the lattice Z^4.
+"""Signed-permutation codes and fixed lattices on Z^n, n the length of a code.
 
 Matrices are tuples of tuples of ints (row major); rational vectors are tuples
 of Fraction.  Holonomy matrices are signed permutations, and everything here
@@ -12,7 +12,7 @@ code.  A cycle of length k with sign product eps contributes the factor
 1 - eps*(-t)^k to det(Id + t*B) (see kraw.charpoly_coeffs) and, when eps = +1,
 one fixed component of support size k (see decompose_fixed).  It also
 contributes Z (eps = +1) or Z/2 (eps = -1) to the quotient
-Z^4 / (B^{-1} - Id) Z^4 that labels conjugacy classes within a coset (see
+Z^n / (B^{-1} - Id) Z^n that labels conjugacy classes within a coset (see
 lengths).  `smith_normal_form` (plain gcd elimination with
 unimodular bookkeeping) is the one generic routine left; no engine path calls
 it, and the benchmark's tracer counts its calls.  qfield is imported only

@@ -1,6 +1,6 @@
 """Length spectra of closed geodesics, with and without multiplicities.
 
-Closed geodesics of R^4/Gamma correspond to conjugacy classes of Gamma.  The
+Closed geodesics of R^n/Gamma correspond to conjugacy classes of Gamma.  The
 element gamma L_lambda with gamma = B L_b has squared length
 
     |p_B(b + lambda)|^2 = sum_j (k_j + s_j)^2 / d_j,
@@ -9,13 +9,13 @@ where (u_j, d_j) are the fixed-lattice components of B, s_j = b.u_j, and
 k_j = lambda.u_j ranges over Z.  The pure translations form the identity coset
 B = Id, b = 0.  The lattice classes of a coset, its elements up to
 
-    lambda ~ lambda + (B^{-1} - Id) mu,   mu in Z^4,
+    lambda ~ lambda + (B^{-1} - Id) mu,   mu in Z^n,
 
-are permuted by F = Gamma/Z^4 acting by conjugation.  So the Gamma-classes in
+are permuted by F = Gamma/Z^n acting by conjugation.  So the Gamma-classes in
 the cosets of one holonomy conjugacy class are the orbits of the centralizer
 Z_F(B) on the lattice classes of its first coset B.
 
-The quotient Z^4 / (B^{-1} - Id) Z^4 splits along the signed cycles of B
+The quotient Z^n / (B^{-1} - Id) Z^n splits along the signed cycles of B
 (intlat.code_cycles) as Z^{#(+1 cycles)} x (Z/2)^{#(-1 cycles)}: a cycle
 with eps = +1 contributes the integer lambda.u_j = k_j, and a cycle with
 eps = -1 the sum of lambda over its axes mod 2.  A state is one integer per
@@ -42,15 +42,13 @@ from typing import NamedTuple
 from .group import AffineIsometry, BieberbachGroup
 from .intlat import Cycles, IntVector, code_compose, code_inverse, code_product, identity
 
-_AXES = identity(4)  # the unit vectors e_a
-
 
 class LengthError(ValueError):
     pass
 
 
 class CosetGeometry(NamedTuple):
-    """The data of one coset B L_{b + Z^4}, translations scaled by D."""
+    """The data of one coset B L_{b + Z^n}, translations scaled by D."""
 
     code: IntVector                   # intlat.signed_code of B
     D: int                            # the group's closure denominator
@@ -109,7 +107,7 @@ def length_set(G: BieberbachGroup, max2) -> set[Fraction]:
 
 
 def _canonical_state(cycles: Cycles, lam) -> tuple[int, ...]:
-    """Coordinates of the integer vector lam in Z^4 / (B^{-1} - Id) Z^4."""
+    """Coordinates of the integer vector lam in Z^n / (B^{-1} - Id) Z^n."""
     state = []
     for orbit, eps in cycles:
         x = sum(sign * lam[axis] for axis, sign in orbit)
@@ -132,6 +130,7 @@ def _conjugation_maps(geo: CosetGeometry, reps: list[CosetGeometry]):
     (index, sign) that of B_j e_{first axis of c}.
     """
     D, b, maps = geo.D, geo.t, []
+    axes = identity(len(b))  # the unit vectors e_a
     for rep in reps:
         if code_product(rep.code, geo.code) != code_product(geo.code, rep.code):
             continue
@@ -141,7 +140,7 @@ def _conjugation_maps(geo: CosetGeometry, reps: list[CosetGeometry]):
             raise LengthError("conjugation by a representative is not integral")
         moves = []
         for orbit, _ in geo.cycles:
-            image = _canonical_state(geo.cycles, code_product(rep.code, _AXES[orbit[0][0]]))
+            image = _canonical_state(geo.cycles, code_product(rep.code, axes[orbit[0][0]]))
             moves.append(next((i, y) for i, y in enumerate(image) if y))
         maps.append((_canonical_state(geo.cycles, [x // D for x in v]), moves))
     return maps

@@ -33,7 +33,7 @@ _TWO_COS = {1: 2, 2: -2, 3: -1, 4: 0, 6: 1}
 
 @lru_cache(maxsize=None)
 def lattice_shell(mu: int) -> tuple[tuple[int, int, int, int], ...]:
-    """All integer vectors of squared norm mu."""
+    """All vectors in Z^4 (4-tuples) of squared norm mu; the engine never calls it."""
     if mu < 0:
         raise ValueError("shell index must be nonnegative")
     out = []

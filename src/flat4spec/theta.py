@@ -1,11 +1,11 @@
 """Heat trace polynomials in one-dimensional theta functions.
 
-The p-form heat trace of a flat manifold R^4/Gamma is a polynomial with
-coefficients in Q(sqrt2, sqrt3) in the functions
+The p-form heat trace of a flat manifold R^n/Gamma is a polynomial with
+coefficients in Q(sqrt2, sqrt3) (for n <= 4) in the functions
 
     z_{d,r}(s) = (4 pi s)^{-1/2} * sum_m exp(-((m + r)^2 / d) / (4 s))
 
-for d in {1, 2, 3, 4} and a rational offset r folded into [0, 1/2].  The two
+for d in 1..n and a rational offset r folded into [0, 1/2].  The two
 classical variables are x = z_{1,0} and y = z_{1,1/2}.  Each holonomy
 representative gamma = B L_b contributes
 
@@ -67,7 +67,7 @@ def var_name(d: int, r: Fraction) -> str:
 
 
 def monomial(vars_with_exp) -> Monomial:
-    """Canonical monomial from ((d, r), exponent) pairs; offsets get folded."""
+    """Canonical monomial from ((d, r), exponent) pairs, d in 1..4; offsets get folded."""
     acc: dict[tuple[int, Fraction], int] = {}
     for (d, r), e in vars_with_exp:
         if e == 0:
@@ -154,12 +154,12 @@ def theta_value(d: int, r, s: float, terms: int = 40) -> float:
 
 
 def trace_sums(G: BieberbachGroup, p: int) -> dict[tuple, int]:
-    """c_{p,m}: the sum of tr_p(B) over the holonomy elements with theta key m.
+    """c_{p,m}, p = 0..n: the sum of tr_p(B) over the holonomy elements with theta key m.
 
     Read from the group's trace-sum table, keyed like it on ints
     ((d, num, den), e); keys whose sum is 0 are dropped.
     """
-    if not 0 <= p <= 4:
+    if not 0 <= p <= len(G.holonomy[0]._code):
         raise ValueError("form degree out of range")
     return {mono: sums[p] for mono, sums in G.trace_table.items() if sums[p]}
 
@@ -172,7 +172,7 @@ def _coefficient(D: int, tr: int) -> QuadNumber:
 
 
 def heat_trace_poly(G: BieberbachGroup, p: int) -> HeatTracePoly:
-    """Exact p-form heat trace of R^4/G as a theta polynomial."""
+    """Exact p-form heat trace of R^n/G as a theta polynomial."""
     # trace_sums has distinct keys and nonzero sums: nothing to accumulate
     terms = [(_fraction_monomial(key), _coefficient(math.prod(d ** e for (d, _, _), e in key), tr))
              for key, tr in trace_sums(G, p).items()]

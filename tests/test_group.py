@@ -20,10 +20,14 @@ from flat4spec.theta import heat_trace_poly
 from linalg import (det, element_fields, element_oracle, kernel_basis, mat_mul, mat_sub,
                     mat_vec, transpose)
 
-ALL_SIGNED_PERMS = [
-    tuple(tuple(signs[i] if perm[i] == j else 0 for j in range(4)) for i in range(4))
-    for perm in permutations(range(4)) for signs in product((1, -1), repeat=4)
-]
+
+def signed_perm_matrices(n):
+    """All n x n signed permutation matrices."""
+    return [tuple(tuple(signs[i] if perm[i] == j else 0 for j in range(n)) for i in range(n))
+            for perm in permutations(range(n)) for signs in product((1, -1), repeat=n)]
+
+
+ALL_SIGNED_PERMS = signed_perm_matrices(4)
 quarters = st.fractions(min_value=0, max_value=1, max_denominator=4)
 signed_perms = st.sampled_from(ALL_SIGNED_PERMS)
 isometries = st.builds(
@@ -271,9 +275,11 @@ def _closure_oracle(generators, two_sided=True):
 
     Returns the holonomy as (B, b) pairs (identity first, then sorted) and
     the translation_consistent flag, or the GroupError message.  With
-    two_sided=False it multiplies by the generators on the right only.
+    two_sided=False it multiplies by the generators on the right only.  The
+    dimension n is that of the generators, 4 if there are none.
     """
-    ident = (identity(4), (Fraction(0),) * 4)
+    n = len(generators[0].B) if generators else 4
+    ident = (identity(n), (Fraction(0),) * n)
     gens = [(g.B, g.b) for g in generators]
     elements = {ident[0]: ident}
     consistent = True
@@ -325,9 +331,11 @@ def test_element_fields_match_fraction_oracle(catalog):
 @pytest.mark.parametrize("den", (12, 5))
 @given(data=st.data())
 def test_closure_matches_oracle_on_random_generators(den, data):
+    n = data.draw(st.integers(1, 4))
     translations = st.tuples(*(st.integers(0, den - 1).map(lambda k: Fraction(k, den))
-                               for _ in range(4)))
-    gens = data.draw(st.lists(st.builds(AffineIsometry, signed_perms, translations),
+                               for _ in range(n)))
+    perms = st.sampled_from(signed_perm_matrices(n))
+    gens = data.draw(st.lists(st.builds(AffineIsometry, perms, translations),
                               min_size=1, max_size=3))
     assert _closure(gens) == _closure_oracle(gens)
     try:
@@ -362,8 +370,14 @@ def test_closure_multiplies_on_both_sides(pairs):
     assert _closure_oracle(gens, two_sided=False) != _closure_oracle(gens) == _closure(gens)
 
 
+def test_generators_of_mixed_dimensions_are_refused():
+    gens = [AffineIsometry.identity(3), iso(identity(4), [Fraction(1, 2), 0, 0, 0])]
+    with pytest.raises(GroupError, match=r"^generators of mixed dimensions \[3, 4\]$"):
+        build_group(gens)
+
+
 @pytest.mark.parametrize("gens, order", [
-    ([], 1),  # the trivial group: lcm() is 1
+    ([], 1),  # the trivial group: lcm() is 1; no generators give the 4-torus
     ([iso(identity(4), [1, 0, -2, 0])], 1),
     ([iso(diag(1, 1, 1, -1), [Fraction(1, 2), 0, 0, 0]), iso(identity(4), [0, 3, 0, 0])], 2),
     ([iso(diag(1, 1, 1, -1), [Fraction(3, 2), 0, 0, 0])], 2),
