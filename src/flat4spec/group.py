@@ -28,8 +28,8 @@ offsets and the theta monomial become `Fraction`s in the methods returning them.
 The matrix, the p-form traces, the fixed decomposition, the signed cycles and
 the order of a code come from one walk over its cycles (intlat.code_cycles),
 memoised per code by `_code_invariants` for all |B4| = 384 signed
-permutations; Betti numbers, orientability (det B = tr_n B), Sunada numbers
-(n = 4 only), holonomy labels and length spectra (lengths) read them.  A group's
+permutations; Betti numbers, orientability (det B = tr_n B), Sunada numbers,
+holonomy labels and length spectra (lengths) read them.  A group's
 one trace-sum table, {theta key: (sum tr_0, ..., sum tr_n)} over its holonomy,
 adds traces on the int keys; heat traces, classification and the eigenvalue
 series read it, and only theta.heat_trace_poly makes `Fraction` monomials.
@@ -338,14 +338,14 @@ def betti(G: BieberbachGroup, p: int) -> int:
 
 
 def sunada_numbers(G: BieberbachGroup) -> dict[tuple[int, int], int]:
-    """Counts c_{d,t} of nontrivial elements by (fixed rank, half offsets).
+    """Counts c_{d,t} of nontrivial elements by (fixed rank, half offsets), d = 1..n.
 
-    Only defined for diagonal type with n = 4: d is the number of +1 diagonal
-    entries of B and t the number of fixed axes whose translation coordinate is 1/2.
+    Only defined for diagonal type: d is the number of +1 diagonal entries of B
+    and t the number of fixed axes whose translation coordinate is 1/2.
     """
     if not is_diagonal_type(G):
         raise GroupError("Sunada numbers need a diagonal-type group")
-    counts = {(d, t): 0 for d in range(1, 5) for t in range(0, d + 1)}
+    counts = {(d, t): 0 for d in range(1, len(G.holonomy[0]._code) + 1) for t in range(d + 1)}
     for g in G.nontrivial():
         # one d = 1 component per +1 diagonal entry; its folded offset k/D is 0 or 1/2
         D, ks = g._D, [k for _, k in g._offsets]
@@ -357,6 +357,8 @@ def sunada_numbers(G: BieberbachGroup) -> dict[tuple[int, int], int]:
 
 def sunada_tuple(G: BieberbachGroup) -> tuple[int, ...]:
     """(c_{1,1}, c_{2,1}, c_{2,2}, c_{3,1}, c_{3,2}, c_{3,3}): the paper's invariant, n = 4."""
+    if len(G.holonomy[0]._code) != 4:
+        raise GroupError("the Sunada tuple needs n = 4")
     c = sunada_numbers(G)
     return (c[1, 1], c[2, 1], c[2, 2], c[3, 1], c[3, 2], c[3, 3])
 

@@ -1,6 +1,6 @@
 """Exact spectrum: eigenvalue multiplicities and truncated heat traces.
 
-The p-form Laplacian of R^4/Gamma has eigenvalues 4 pi^2 mu, mu >= 0 an
+The p-form Laplacian of R^n/Gamma has eigenvalues 4 pi^2 mu, mu >= 0 an
 integer, and their multiplicities d_{p,mu} are the Poisson dual of the heat
 trace polynomial of `theta`.  With q = exp(-4 pi^2 s), z_{d,r}(s) = sqrt(d) theta_{d,r}(q),
 
@@ -10,7 +10,7 @@ and the sqrt(d_i) cancel an element's factor 1/vol = 1/sqrt(prod_i d_i), so
 sum_mu d_{p,mu} q^mu = (1/|F|) sum_m c_{p,m} prod_{(d,r)^e in m} theta_{d,r}(q)^e
 with c_{p,m} the integer trace sums of `theta.trace_sums`, read on their int
 keys ((d, num, den), e): n r has denominator den / gcd(n num, den).  One element's q^mu
-coefficient is its e-sum, the sum of exp(-2 pi i v.b) over v in Z^4 with
+coefficient is its e-sum, the sum of exp(-2 pi i v.b) over v in Z^n with
 |v|^2 = mu and B v = v; those v are the sums n_i u_i over the fixed components.
 
 For k/L in lowest terms, 2 cos(2 pi k / L) is an integer exactly when L is

@@ -1,13 +1,32 @@
-"""Generic matrix and Fraction arithmetic: oracles for the integer engine in flat4spec."""
+"""Reference implementations shared by the test modules.
+
+Generic matrix, affine and Fraction arithmetic that the integer engine in
+flat4spec replaced, kept to check it.  A reference implementation lives here
+once two or more test modules use it; one that a single module uses stays in
+that module.
+"""
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations, permutations, product
 from typing import Sequence
 
+from flat4spec.group import AffineIsometry
 from flat4spec.intlat import IntMatrix, IntVector, decompose_fixed, identity, smith_normal_form
 
 
-def dim(M: IntMatrix) -> int:
-    return len(M)
+def signed_perm_matrices(n: int) -> list[IntMatrix]:
+    """All n x n signed permutation matrices, by permutation, then signs."""
+    return [tuple(tuple(signs[i] if perm[i] == j else 0 for j in range(n)) for i in range(n))
+            for perm in permutations(range(n)) for signs in product((1, -1), repeat=n)]
+
+
+def diag(*entries) -> IntMatrix:
+    n = len(entries)
+    return tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def iso(rows, b) -> AffineIsometry:
+    return AffineIsometry.make(rows, b)
 
 
 def transpose(M: IntMatrix) -> IntMatrix:
@@ -42,6 +61,28 @@ def det(M: IntMatrix) -> int:
     return total
 
 
+def lambda_p_matrix(B: IntMatrix, p: int) -> IntMatrix:
+    """Matrix of B acting on p-forms in the wedge basis, via p x p minors.
+
+    Its trace, the sum of the principal p x p minors, is tr_p(B).
+    """
+    idx = list(combinations(range(len(B)), p))
+    return tuple(tuple(det(tuple(tuple(B[i][j] for j in J) for i in I)) if p else 1
+                       for J in idx) for I in idx)
+
+
+def affine_product(x, y) -> tuple:
+    """(A, a) * (B, b) = (A B, B^T a + b) on matrices, translation not reduced."""
+    (A, a), (B, b) = x, y
+    return mat_mul(A, B), tuple(u + v for u, v in zip(mat_vec(transpose(B), a), b))
+
+
+def affine_inverse(x) -> tuple:
+    """(A, a)^-1 = (A^T, -A a), translation not reduced."""
+    A, a = x
+    return transpose(A), tuple(-u for u in mat_vec(A, a))
+
+
 def kernel_basis(M: IntMatrix) -> tuple[IntVector, ...]:
     """Saturated basis of the integer kernel {v : M v = 0}."""
     U, D, V = smith_normal_form(M)
@@ -53,7 +94,7 @@ def kernel_basis(M: IntMatrix) -> tuple[IntVector, ...]:
 
 def fixed_lattice_basis(B: IntMatrix) -> tuple[IntVector, ...]:
     """Saturated basis of the fixed lattice ker(B - Id), via Smith reduction."""
-    return kernel_basis(mat_sub(B, identity(dim(B))))
+    return kernel_basis(mat_sub(B, identity(len(B))))
 
 
 def raw_offsets_oracle(v: Sequence, dec) -> tuple[Fraction, ...]:

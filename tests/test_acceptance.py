@@ -6,7 +6,6 @@ assert the corrected value and carry a strict-xfail companion for the printed
 one, so the discrepancy stays visible without gaming the suite.
 """
 from fractions import Fraction
-from math import comb
 
 import pytest
 
@@ -20,8 +19,8 @@ from flat4spec.theta import HeatTracePoly, heat_trace_poly, poly_equal
 
 from golden_classes import (BRACKETL_EXCLUDED, BRACKETL_PAIRS, L_SETS, P0_SETS,
                             P1_SETS, P2_SETS, as_sorted_lists)
-from golden_heat import ALIASES, golden
-from linalg import det, mat_sub
+from golden_heat import golden
+from oracle import det, mat_sub
 
 F = Fraction
 
@@ -144,19 +143,12 @@ def test_heat_trace_golden_table(catalog):
                 (entry.id, p)
 
 
-def test_stated_coincidences(catalog):
-    for alias, target in ALIASES.items():
-        for p in range(5):
-            assert poly_equal(heat_trace_poly(catalog.group(alias), p),
-                              heat_trace_poly(catalog.group(target), p)), \
-                (alias, target, p)
-
-
 # -- 6: classification on exact heat traces -----------------------------------
 
 
 def _nontrivial(catalog, mode):
     report = classify_all(catalog.groups(), mode)
+    assert report.errors == {}
     return report.nontrivial_classes()
 
 
@@ -244,6 +236,9 @@ def test_quarter_length_multiplicities(catalog):
 def test_bracketL_pairs_agree(catalog):
     report = classify_all(catalog.groups(), "bracketL", max2=3)
     assert report.nontrivial_classes() == as_sorted_lists(BRACKETL_PAIRS)
+    # only the non-closing entry cannot be compared
+    assert set(report.errors) == {"29'"}
+    assert report.params == {"max_squared_length": "3"}
 
 
 def test_bracketL_excluded_sets_disagree(catalog):
@@ -272,33 +267,6 @@ def test_exact_vs_numeric_heat_trace(catalog, gid, p):
 
 
 # -- 12: property suites ------------------------------------------------------
-
-
-def test_supersymmetry(catalog):
-    for entry in catalog:
-        for mu in range(1, 26):
-            assert sum((-1) ** p * multiplicity(entry.group, p, mu)
-                       for p in range(5)) == 0, (entry.id, mu)
-
-
-def test_poincare_duality(catalog):
-    for entry in catalog:
-        if not entry.orientable:
-            continue
-        for mu in range(8):
-            for p in range(5):
-                assert multiplicity(entry.group, p, mu) == \
-                    multiplicity(entry.group, 4 - p, mu), (entry.id, p, mu)
-
-
-def test_krawtchouk_identities_up_to_8():
-    for n in range(1, 9):
-        for k in range(1, n + 1):
-            for j in range(1, n + 1):
-                v = krawtchouk(n, k, j)
-                assert v == (-1) ** j * krawtchouk(n, n - k, j)
-                assert v == (-1) ** k * krawtchouk(n, k, n - j)
-                assert comb(n, j) * v == comb(n, k) * krawtchouk(n, j, k)
 
 
 def test_alternating_trace_identity(catalog):

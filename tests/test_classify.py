@@ -10,8 +10,8 @@ from flat4spec.classify import (MODES, classify_all, id_sort_key,
 from flat4spec.group import GroupError
 from flat4spec.theta import heat_trace_poly, poly_equal
 
-from golden_classes import (BRACKETL_EXCLUDED, BRACKETL_PAIRS, L_SETS, P0_SETS,
-                            P1_SETS, P2_SETS, as_sorted_lists)
+from golden_classes import (BRACKETL_PAIRS, L_SETS, P0_SETS, P1_SETS, P2_SETS,
+                            as_sorted_lists)
 
 # pairs with equal 0-form supports and equal length sets of different holonomy
 # orders: no relation puts them together
@@ -152,9 +152,6 @@ def test_bracketL_refines_L(catalog):
         a, b = sorted(pair, key=id_sort_key)
         assert L_isospectral(catalog.group(a), catalog.group(b))
         assert bracketL_isospectral(catalog.group(a), catalog.group(b))
-    for pair in BRACKETL_EXCLUDED:
-        a, b = sorted(pair, key=id_sort_key)
-        assert not bracketL_isospectral(catalog.group(a), catalog.group(b))
 
 
 def test_bracketL_isospectral_agrees_with_bracketL_classes(catalog):

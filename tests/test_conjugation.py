@@ -11,7 +11,6 @@ g1 g2 or a product of two generators appended).
 """
 import random
 from fractions import Fraction
-from itertools import permutations, product
 
 import pytest
 
@@ -19,12 +18,9 @@ from flat4spec.group import AffineIsometry, betti, build_group
 from flat4spec.lengths import LengthError, length_set, length_spectrum
 from flat4spec.numspec import multiplicities
 
-from linalg import mat_mul, mat_vec, transpose
+from oracle import mat_mul, mat_vec, signed_perm_matrices, transpose
 
-SIGNED_PERMS = [
-    tuple(tuple(signs[i] if perm[i] == j else 0 for j in range(4)) for i in range(4))
-    for perm in permutations(range(4)) for signs in product((1, -1), repeat=4)
-]
+SIGNED_PERMS = signed_perm_matrices(4)
 PER_GROUP = 8
 
 

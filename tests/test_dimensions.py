@@ -13,7 +13,7 @@ from math import comb, isqrt
 import pytest
 
 from flat4spec.group import (AffineIsometry, betti, build_group, is_diagonal_type,
-                             is_orientable)
+                             is_orientable, sunada_numbers)
 from flat4spec.intlat import identity
 from flat4spec.lengths import length_set, length_spectrum
 from flat4spec.numspec import multiplicities
@@ -105,6 +105,9 @@ def test_klein_bottle():
     assert K.order == 2
     assert [betti(K, p) for p in range(3)] == [1, 1, 0]
     assert (is_orientable(K), is_diagonal_type(K)) == (False, True)
+    # the glide fixes one axis, translated by 1/2 along it
+    assert sunada_numbers(K) == {(d, t): int((d, t) == (1, 1))
+                                 for d in (1, 2) for t in range(d + 1)}
     # 2 Z_0 = x^2 + y, 2 Z_1 = 2 x^2, 2 Z_2 = x^2 - y
     x2, y = monomial([((1, 0), 2)]), monomial([((1, F(1, 2)), 1)])
     for p, cx, cy in ((0, 1, 1), (1, 2, 0), (2, 1, -1)):

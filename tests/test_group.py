@@ -2,7 +2,6 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given
@@ -17,15 +16,9 @@ from flat4spec.intlat import identity
 from flat4spec.qfield import QuadNumber
 from flat4spec.theta import heat_trace_poly
 
-from linalg import (det, element_fields, element_oracle, kernel_basis, mat_mul, mat_sub,
-                    mat_vec, transpose)
-
-
-def signed_perm_matrices(n):
-    """All n x n signed permutation matrices."""
-    return [tuple(tuple(signs[i] if perm[i] == j else 0 for j in range(n)) for i in range(n))
-            for perm in permutations(range(n)) for signs in product((1, -1), repeat=n)]
-
+from oracle import (affine_inverse, affine_product, det, diag, element_fields, element_oracle,
+                    iso, kernel_basis, lambda_p_matrix, mat_sub, mat_vec,
+                    signed_perm_matrices)
 
 ALL_SIGNED_PERMS = signed_perm_matrices(4)
 quarters = st.fractions(min_value=0, max_value=1, max_denominator=4)
@@ -36,15 +29,6 @@ isometries = st.builds(
     st.tuples(quarters, quarters, quarters, quarters),
 )
 FOUR_CYCLE = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0))
-
-
-def iso(rows, b):
-    return AffineIsometry.make(rows, b)
-
-
-def diag(*entries):
-    return tuple(tuple(entries[i] if i == j else 0 for j in range(4))
-                 for i in range(4))
 
 
 @given(isometries, isometries, isometries)
@@ -175,8 +159,8 @@ def test_closure_bound():
 
 def _generic_product(x, y):
     """(A, a) * (B, b) = (A B, B^T a + b mod 1) with generic matrix arithmetic."""
-    (A, a), (B, b) = x, y
-    return mat_mul(A, B), tuple((u + v) % 1 for u, v in zip(mat_vec(transpose(B), a), b))
+    AB, c = affine_product(x, y)
+    return AB, tuple(u % 1 for u in c)
 
 
 def test_product_matches_generic_formula():
@@ -215,7 +199,8 @@ def test_code_arithmetic_matches_matrix_oracle(catalog):
     for entry in catalog:
         for g in entry.group.holonomy:
             inv = g.inverse()
-            assert (inv.B, inv.b) == (transpose(g.B), tuple(-x % 1 for x in mat_vec(g.B, g.b)))
+            A, a = affine_inverse((g.B, g.b))
+            assert (inv.B, inv.b) == (A, tuple(x % 1 for x in a))
             assert element_fields(inv) == element_oracle(inv.B, inv.b), (entry.id, g)
             inverses += 1
             for h in entry.group.holonomy:
@@ -242,8 +227,7 @@ def test_products_and_inverses_match_oracle_on_random_generators(data):
     for g in gens:
         assert element_fields(g) == element_oracle(g.B, g.b), g
         inv = g.inverse()
-        assert element_fields(inv) == \
-            element_oracle(transpose(g.B), [-x for x in mat_vec(g.B, g.b)]), g
+        assert element_fields(inv) == element_oracle(*affine_inverse((g.B, g.b))), g
         for h in gens:
             assert element_fields(g * h) == \
                 element_oracle(*_generic_product((g.B, g.b), (h.B, h.b))), (g, h)
@@ -418,25 +402,12 @@ def test_klein_type_group():
     assert [betti(G, p) for p in range(5)] == [1, 3, 3, 1, 0]
 
 
-def lambda_p_matrix(B, p):
-    """Matrix of B acting on p-forms in the wedge basis, via p x p minors."""
-    idx = list(combinations(range(4), p))
-    rows = []
-    for I in idx:
-        row = []
-        for J in idx:
-            sub = tuple(tuple(B[i][j] for j in J) for i in I)
-            row.append(det(sub) if p else 1)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def invariant_dimension(mats, p):
     """dim of the simultaneous fixed space of the p-form action."""
-    size = len(list(combinations(range(4), p)))
     stacked = []
     for B in mats:
-        stacked.extend(mat_sub(lambda_p_matrix(B, p), identity(size)))
+        L = lambda_p_matrix(B, p)
+        stacked.extend(mat_sub(L, identity(len(L))))
     return len(kernel_basis(tuple(stacked)))
 
 
@@ -512,8 +483,24 @@ def test_sunada_counts_add_up(catalog):
             continue
         G = entry.group
         counts = sunada_numbers(G)
+        # keys d = 1..4; d = 4 counts 0, since only the identity fixes all of Z^4
+        assert counts.keys() == {(d, t) for d in range(1, 5) for t in range(d + 1)}
+        assert all(counts[4, t] == 0 for t in range(5)), entry.id
         assert sum(counts.values()) == G.order - 1, entry.id
         assert sum(sunada_tuple(G)) <= G.order - 1
+
+
+def test_sunada_numbers_in_any_dimension():
+    # (d, t) runs over d in 1..n; the tuple is the paper's six counts, n = 4 only
+    five_torus = build_group([AffineIsometry.identity(5)])
+    assert sunada_numbers(five_torus) == {(d, t): 0 for d in range(1, 6) for t in range(d + 1)}
+    G = build_group([iso(diag(1, 1, 1, 1, 1, -1), (Fraction(1, 2), 0, 0, 0, 0, 0))])
+    counts = sunada_numbers(G)
+    assert counts.keys() == {(d, t) for d in range(1, 7) for t in range(d + 1)}
+    assert {k: c for k, c in counts.items() if c} == {(5, 1): 1}
+    klein = build_group([iso(((1, 0), (0, -1)), (Fraction(1, 2), 0))])
+    with pytest.raises(GroupError, match="n = 4"):
+        sunada_tuple(klein)
 
 
 def test_sunada_example(catalog):

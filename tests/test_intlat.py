@@ -1,5 +1,4 @@
 from fractions import Fraction
-from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +8,9 @@ from flat4spec.group import AffineIsometry
 from flat4spec.intlat import (LatticeError, decompose_fixed, identity, signed_code,
                               smith_normal_form)
 
-from linalg import (det, element_fields, element_oracle, fixed_lattice_basis, kernel_basis,
-                    mat_mul, mat_sub, mat_vec, raw_offsets_oracle, transpose)
+from oracle import (det, element_fields, element_oracle, fixed_lattice_basis, kernel_basis,
+                    mat_mul, mat_sub, mat_vec, raw_offsets_oracle, signed_perm_matrices,
+                    transpose)
 
 small_matrices = st.lists(
     st.lists(st.integers(min_value=-6, max_value=6), min_size=3, max_size=3),
@@ -64,13 +64,7 @@ def test_det_examples():
     assert det(((0, 1), (1, 0))) == -1
 
 
-# all 384 signed 4x4 permutation matrices
-SIGNED_PERMS_4 = [
-    tuple(tuple(signs[i] if perm[i] == j else 0 for j in range(4))
-          for i in range(4))
-    for perm in permutations(range(4))
-    for signs in product((1, -1), repeat=4)
-]
+SIGNED_PERMS_4 = signed_perm_matrices(4)
 
 
 @pytest.mark.parametrize("B", SIGNED_PERMS_4)

@@ -6,8 +6,8 @@ import pytest
 from flat4spec.intlat import identity
 from flat4spec.kraw import charpoly_coeffs, krawtchouk, trace_p
 
-from linalg import det, mat_sub
-from test_intlat import SIGNED_PERMS_4
+from oracle import det, diag, lambda_p_matrix, mat_sub, signed_perm_matrices
+
 
 # the 25 values K_p^4(j) for p, j in 0..4, rows indexed by j
 KRAW4 = {
@@ -67,12 +67,6 @@ def test_middle_vanishing():
             assert krawtchouk(n, j, n // 2) == 0
 
 
-def diag(*entries):
-    n = len(entries)
-    return tuple(tuple(entries[i] if i == j else 0 for j in range(n))
-                 for i in range(n))
-
-
 def test_diagonal_traces_are_krawtchouk():
     for signs in product((1, -1), repeat=4):
         j = signs.count(-1)
@@ -80,26 +74,17 @@ def test_diagonal_traces_are_krawtchouk():
         assert charpoly_coeffs(B) == tuple(krawtchouk(4, p, j) for p in range(5))
 
 
-def brute_trace_p(B, p):
-    """Trace on p-forms via explicit p x p minors."""
-    n = len(B)
-    total = 0
-    from itertools import combinations
-    for rows in combinations(range(n), p):
-        sub = tuple(tuple(B[i][j] for j in rows) for i in rows)
-        total += det(sub) if p else 1
-    return total
-
-
 def test_trace_p_matches_minor_sums():
-    for B in SIGNED_PERMS_4:
+    # tr_p(B) is the sum of the principal p x p minors of B
+    for B in signed_perm_matrices(4):
         for p in range(5):
-            assert trace_p(B, p) == brute_trace_p(B, p), (B, p)
+            L = lambda_p_matrix(B, p)
+            assert trace_p(B, p) == sum(L[i][i] for i in range(len(L))), (B, p)
 
 
 def test_alternating_sum_is_det_of_difference():
     # sum_p (-1)^p tr_p(B) = det(Id - B)
-    for B in SIGNED_PERMS_4:
+    for B in signed_perm_matrices(4):
         alt = sum((-1) ** p * trace_p(B, p) for p in range(5))
         assert alt == det(mat_sub(identity(4), B)), B
 

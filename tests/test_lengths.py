@@ -1,6 +1,6 @@
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 from math import lcm
 from typing import NamedTuple
 
@@ -13,7 +13,8 @@ from flat4spec.intlat import (code_cycles, decompose_fixed, identity, signed_cod
 from flat4spec.lengths import (LengthError, _canonical_state, coset_geometry,
                                length_multiplicity, length_set, length_spectrum)
 
-from linalg import mat_mul, mat_sub, mat_vec, transpose
+from oracle import (affine_inverse, affine_product, mat_mul, mat_sub, mat_vec,
+                    signed_perm_matrices, transpose)
 
 F = Fraction
 
@@ -31,11 +32,6 @@ def test_group_2_length_set(catalog):
     assert length_set(G, F(9, 4)) == {F(1, 4), F(1), F(5, 4), F(2), F(9, 4)}
 
 
-def test_quarter_length_multiplicities(catalog):
-    assert length_multiplicity(catalog.group("25"), F(1, 4)) == 8
-    assert length_multiplicity(catalog.group("27"), F(1, 4)) == 4
-
-
 def test_multiplicity_rejects_nonpositive(catalog):
     with pytest.raises(ValueError):
         length_multiplicity(catalog.group("1"), 0)
@@ -51,14 +47,6 @@ def _conjugacy_oracle(G, max2, window=2):
     elements are joined when conjugation by a holonomy rep or by a lattice
     translation +-e_i maps one onto the other.
     """
-    def compose(x, y):
-        (A, a), (B, b) = x, y
-        return mat_mul(A, B), tuple(p + q for p, q in zip(mat_vec(transpose(B), a), b))
-
-    def inverse(x):
-        A, a = x
-        return transpose(A), tuple(-p for p in mat_vec(A, a))
-
     D = lcm(*(x.denominator for g in G.holonomy for x in g.b))
     length2 = {}
     for g in G.holonomy:
@@ -82,7 +70,8 @@ def _conjugacy_oracle(G, max2, window=2):
     conjugators += [(identity(4), tuple(s * D * x for x in e)) for e in identity(4) for s in (1, -1)]
     zero = (0,) * 4
     # h (B, c) h^{-1} = (M, A c + w) for h = (A, a) and (M, w) = h (B, 0) h^{-1}
-    conjugations = {(g.B, h): compose(compose(h, (g.B, zero)), inverse(h))
+    conjugations = {(g.B, h): affine_product(affine_product(h, (g.B, zero)),
+                                             affine_inverse(h))
                     for g in G.holonomy for h in conjugators}
     for (B, c) in length2:
         for h in conjugators:
@@ -210,23 +199,20 @@ def test_cycle_state_matches_smith_coordinates():
     # Z^4 / (B^T - Id) Z^4 read off two ways: the per-cycle state, and the
     # coordinates (U lam)_i mod D_ii (kept whole where D_ii = 0) from the
     # Smith form U (B^T - Id) V = D; each must determine the other
-    for perm in permutations(range(4)):
-        for signs in product((1, -1), repeat=4):
-            B = tuple(tuple(signs[i] if perm[i] == j else 0 for j in range(4))
-                      for i in range(4))
-            U, D, _ = smith_normal_form(mat_sub(transpose(B), identity(4)))
-            cycles = code_cycles(signed_code(B))
-            pairs = set()
-            for lam in product(range(-2, 3), repeat=4):
-                coords = tuple(x % D[i][i] if D[i][i] else x
-                               for i, x in enumerate(mat_vec(U, lam)))
-                pairs.add((_canonical_state(cycles, lam), coords))
-            states = {s for s, _ in pairs}
-            assert len(states) == len({c for _, c in pairs}) == len(pairs), B
-            # the Smith form has a 0 per +1 cycle and a 2 per -1 cycle
-            n_twisted = sum(1 for _, eps in cycles if eps == -1)
-            assert sorted(D[i][i] for i in range(4) if D[i][i] != 1) == \
-                [0] * (len(cycles) - n_twisted) + [2] * n_twisted, B
+    for B in signed_perm_matrices(4):
+        U, D, _ = smith_normal_form(mat_sub(transpose(B), identity(4)))
+        cycles = code_cycles(signed_code(B))
+        pairs = set()
+        for lam in product(range(-2, 3), repeat=4):
+            coords = tuple(x % D[i][i] if D[i][i] else x
+                           for i, x in enumerate(mat_vec(U, lam)))
+            pairs.add((_canonical_state(cycles, lam), coords))
+        states = {s for s, _ in pairs}
+        assert len(states) == len({c for _, c in pairs}) == len(pairs), B
+        # the Smith form has a 0 per +1 cycle and a 2 per -1 cycle
+        n_twisted = sum(1 for _, eps in cycles if eps == -1)
+        assert sorted(D[i][i] for i in range(4) if D[i][i] != 1) == \
+            [0] * (len(cycles) - n_twisted) + [2] * n_twisted, B
 
 
 def test_one_cycle_walk_per_coset(catalog, monkeypatch):

@@ -12,7 +12,7 @@ from flat4spec.kraw import cycle_charpoly
 from flat4spec.numspec import (e_term, heat_trace_numeric, lattice_shell,
                                multiplicities, multiplicity)
 
-from linalg import mat_vec
+from oracle import mat_vec
 
 # representation numbers r4(mu) of four squares, mu = 0..10
 R4 = (1, 8, 24, 32, 24, 48, 96, 64, 24, 104, 144)

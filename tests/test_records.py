@@ -1,7 +1,9 @@
+import ast
 import importlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +14,8 @@ from flat4spec.catalog import Catalog, CatalogEntry
 from flat4spec.classify import ClassificationReport
 from flat4spec.group import AffineIsometry, BieberbachGroup, _fraction_monomial
 from flat4spec.theta import trace_sums
+
+from oracle import iso
 
 SRC = str(Path(flat4spec.__file__).resolve().parent.parent)
 
@@ -129,19 +133,15 @@ def test_unknown_name_is_an_attribute_error():
     assert "no_such_name" not in dir(flat4spec)
 
 
-def _iso(B, b):
-    return AffineIsometry.make(B, b)
-
-
 SWAP = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1))
 
 
 def test_affine_isometry_equality_and_hash_after_normalization():
-    g = _iso(SWAP, (Fraction(1, 2), 0, 0, 0))
-    h = _iso(SWAP, (Fraction(-1, 2), 1, 2, 0))
+    g = iso(SWAP, (Fraction(1, 2), 0, 0, 0))
+    h = iso(SWAP, (Fraction(-1, 2), 1, 2, 0))
     assert g == h and hash(g) == hash((g.B, g.b))
     assert hash(g) == hash(h)
-    assert g != _iso(SWAP, (0, 0, 0, 0))
+    assert g != iso(SWAP, (0, 0, 0, 0))
     assert g != (g.B, g.b)
     assert g.b == (Fraction(1, 2), 0, 0, 0)
     assert repr(g) == f"AffineIsometry(B={g.B!r}, b={g.b!r})"
@@ -225,3 +225,20 @@ def test_catalog_entry_defaults(catalog):
     G = catalog.group("1")
     e = CatalogEntry("1", "", "1", G, (4, 6), (4, 6), True, True)
     assert (e.sunada, e.sunada_printed, e.notes) == (None, None, "")
+
+
+def test_each_test_is_defined_once_and_no_test_module_imports_another():
+    # an assertion lives in one place; shared reference code lives in oracle.py
+    names, imports = [], []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("test_"):
+                names.append(node.name)
+            elif path.name.startswith("test_"):
+                if isinstance(node, ast.Import):
+                    imports += [(path.name, a.name) for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    imports.append((path.name, node.module))
+    assert len(names) > 200  # the scan saw the suite
+    assert sorted(name for name, n in Counter(names).items() if n > 1) == []
+    assert [(path, m) for path, m in imports if m.split(".")[0].startswith("test_")] == []

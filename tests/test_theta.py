@@ -77,7 +77,7 @@ def test_golden_heat_traces(catalog, p):
 def test_stated_coincidences(catalog, alias, target):
     for p in range(5):
         assert poly_equal(heat_trace_poly(catalog.group(alias), p),
-                          heat_trace_poly(catalog.group(target), p))
+                          heat_trace_poly(catalog.group(target), p)), p
 
 
 def test_group_29_prime_poly(catalog):
