@@ -272,7 +272,7 @@ def build_entries():
 
 
 def _entry(gid, table, holonomy, beta_printed, orientable, diagonal, mats, b_specs):
-    gens = [AffineIsometry.make(parse_matrix(m), parse_translation(b))
+    gens = [AffineIsometry(parse_matrix(m), parse_translation(b))
             for m, b in zip(mats, b_specs)]
     G = build_group(gens, name=gid)
     assert G.order == HOLONOMY_ORDER[holonomy], (gid, G.order)

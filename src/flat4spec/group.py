@@ -9,13 +9,14 @@ Composition follows from the action:
 
 Every element is set up in one place, `AffineIsometry._set`, from the
 signed-permutation code of B (intlat.signed_code) and ints t in [0, D)^n with
-b = t/D.  `__init__` checks the matrix and that b has one entry per row, then
-turns b into ints, D the lcm of its denominators; `_from_code` skips the
-checks for a known code.  Products and inverses run on codes and ints through
-intlat.code_compose, and so does `build_group`: it closes the generators under
-that one rule, mod D the lcm of theirs, and gives every holonomy element that
-D.  An element's n is the length of its code, and a group's that of its
-identity; only the catalog requires n = 4 (no generators give the 4-torus).
+b = t/D.  `__init__` (the one public constructor) checks the matrix and that b
+has one exact entry (no float) per row, then turns b into ints, D the lcm of
+its denominators; `_from_code` skips the checks for a known code.  Products
+and inverses run on codes and ints through intlat.code_compose, and so does
+`build_group`: it closes the generators under that one rule, mod D the lcm of
+theirs, and gives every holonomy element that D.  An element's n is the length
+of its code, and a group's that of its identity; only the catalog requires
+n = 4 (no generators give the 4-torus).
 
 `_set` also computes every other per-element field from the ints, so an
 element is complete when it is made: the sum s_j = t . u_j per fixed
@@ -78,6 +79,13 @@ def _fraction_monomial(key: tuple) -> tuple[tuple[tuple[int, Fraction], int], ..
     return tuple([((d, Fraction(n, den)), e) for (d, n, den), e in key])
 
 
+def _exact(x) -> Fraction:
+    """A translation entry as a Fraction; a float is refused, as 0.1 is not 1/10."""
+    if isinstance(x, float):
+        raise GroupError(f"translation entries must be exact, not the float {x!r}")
+    return Fraction(x)
+
+
 class _Frozen:
     """Read-only attributes, set through object.__setattr__ (`trace_table` writes vars(self))."""
 
@@ -92,10 +100,12 @@ class AffineIsometry(_Frozen):
     """gamma = B L_b; compared and hashed by (B, b), b normalized to [0, 1)^n."""
 
     def __init__(self, B: IntMatrix, b: RatVector):
-        code = intlat.signed_code(B)
+        code = intlat.signed_code(B)  # reads 1.0 and True as 1
         if code is None:
+            if any(x % 1 for row in B for x in row):
+                raise GroupError("matrix entries must be integers")
             raise GroupError("matrix part must be a signed permutation")
-        b = [x if isinstance(x, Fraction) else Fraction(x) for x in b]
+        b = [x if isinstance(x, Fraction) else _exact(x) for x in b]
         if len(b) != len(B):
             raise GroupError(f"a {len(B)}x{len(B)} matrix needs {len(B)} translation "
                              f"entries, not {len(b)}")
@@ -147,13 +157,6 @@ class AffineIsometry(_Frozen):
         return f"{self.__class__.__qualname__}(B={self.B!r}, b={self.b!r})"
 
     @classmethod
-    def make(cls, B: Sequence[Sequence[int]], b: Sequence) -> "AffineIsometry":
-        M = tuple(tuple(int(x) for x in row) for row in B)
-        if M != tuple(map(tuple, B)):
-            raise GroupError("matrix entries must be integers")
-        return cls(M, b)
-
-    @classmethod
     def identity(cls, n: int = 4) -> "AffineIsometry":
         """The identity of R^n, 4-dimensional unless n is given."""
         return cls(intlat.identity(n), (Fraction(0),) * n)
@@ -203,8 +206,8 @@ class AffineIsometry(_Frozen):
     def theta_monomial(self) -> tuple[tuple[tuple[int, Fraction], int], ...]:
         """The sorted ((d, r), exponent) pairs of prod_i z_{d_i, r_i}.
 
-        It does not depend on the form degree p; it equals
-        theta.monomial(((d, r), 1) for d, r in self.translation_offsets()).
+        It does not depend on the form degree p: each pair (d, r) of
+        translation_offsets() counts once into the exponent of z_{d,r}.
         """
         return _fraction_monomial(self._theta_key)
 
@@ -323,6 +326,7 @@ def is_diagonal_type(G: BieberbachGroup) -> bool:
 
 
 def is_abelian_holonomy(G: BieberbachGroup) -> bool:
+    """Whether the holonomy group commutes; kept for flat4spec.__all__."""
     codes = [g._code for g in G.holonomy]
     return all(code_product(a, b) == code_product(b, a) for a in codes for b in codes)
 

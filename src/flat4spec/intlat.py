@@ -266,7 +266,10 @@ def code_cycles(code: Sequence[int]) -> Cycles:
 
 
 def decompose_fixed(B: IntMatrix) -> FixedDecomposition:
-    """Fixed lattice of a signed permutation as disjoint-support {-1,0,1} vectors."""
+    """Fixed lattice of a signed permutation as disjoint-support {-1,0,1} vectors.
+
+    No engine caller (elements read `cycle_decomposition`); kept for bench/tracer.py.
+    """
     return cycle_decomposition(code_cycles(checked_code(B)))
 
 

@@ -15,14 +15,17 @@ from . import intlat
 
 
 def krawtchouk(n: int, p: int, j: int) -> int:
-    """K_p^n(j) = sum_t (-1)^t C(j, t) C(n - j, p - t)."""
+    """K_p^n(j) = sum_t (-1)^t C(j, t) C(n - j, p - t); kept for flat4spec.__all__."""
     if not (0 <= p <= n and 0 <= j <= n):
         raise ValueError("krawtchouk arguments out of range")
     return sum((-1) ** t * comb(j, t) * comb(n - j, p - t) for t in range(p + 1))
 
 
 def charpoly_coeffs(B: intlat.IntMatrix) -> tuple[int, ...]:
-    """Coefficients (c_0, ..., c_n) of det(Id + t*B), so c_p = tr_p(B)."""
+    """Coefficients (c_0, ..., c_n) of det(Id + t*B), so c_p = tr_p(B).
+
+    Only `trace_p` calls it (elements read `cycle_charpoly`); kept for bench/tracer.py.
+    """
     return cycle_charpoly(intlat.code_cycles(intlat.checked_code(B)))
 
 
@@ -39,7 +42,7 @@ def cycle_charpoly(cycles) -> tuple[int, ...]:
 
 
 def trace_p(B: intlat.IntMatrix, p: int) -> int:
-    """Trace of B acting on p-forms."""
+    """Trace of B acting on p-forms; kept for flat4spec.__all__."""
     n = len(B)
     if not 0 <= p <= n:
         raise ValueError("form degree out of range")

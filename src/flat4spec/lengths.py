@@ -167,11 +167,8 @@ def _count_orbits(states: set[tuple[int, ...]], geo: CosetGeometry, maps) -> int
     return orbits
 
 
-def _class_counts(G: BieberbachGroup, max2, exact: bool = False) -> dict[Fraction, int]:
-    """Number of conjugacy classes of G per squared length 0 < l2 <= max2.
-
-    With exact=True only the classes of squared length max2 are counted.
-    """
+def length_spectrum(G: BieberbachGroup, max2) -> dict[Fraction, int]:
+    """Map from squared length 0 < l2 <= max2 to its number of conjugacy classes."""
     max2 = Fraction(max2)
     counts: dict[Fraction, int] = {}
     geos = [coset_geometry(g) for g in G.holonomy]  # the identity coset first
@@ -184,21 +181,14 @@ def _class_counts(G: BieberbachGroup, max2, exact: bool = False) -> dict[Fractio
         # built before the enumeration, so a refusal does not depend on max2
         maps = _conjugation_maps(geo, geos[1:])
         for l2, sols in _solutions(geo, max2).items():
-            if exact and l2 != max2:
-                continue
             states = {state for ks in sols for state in _states(geo, ks)}
             counts[l2] = counts.get(l2, 0) + _count_orbits(states, geo, maps)
     return dict(sorted(counts.items()))
 
 
 def length_multiplicity(G: BieberbachGroup, l2) -> int:
-    """Number of conjugacy classes of G with squared length l2."""
+    """Number of conjugacy classes of squared length l2; kept for __all__ and bench/tracer.py."""
     l2 = Fraction(l2)
     if l2 <= 0:
         raise ValueError("squared length must be positive")
-    return _class_counts(G, l2, exact=True).get(l2, 0)
-
-
-def length_spectrum(G: BieberbachGroup, max2) -> dict[Fraction, int]:
-    """Map from squared length to class multiplicity, up to max2."""
-    return _class_counts(G, max2)
+    return length_spectrum(G, l2).get(l2, 0)

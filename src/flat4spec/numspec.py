@@ -78,7 +78,7 @@ def _series(key: tuple, N: int) -> tuple[int, ...]:
 
 
 def e_term(g, mu: int) -> int:
-    """Exact sum of exp(-2 pi i v.b) over shell vectors fixed by the matrix part."""
+    """Exact sum of exp(-2 pi i v.b) over shell vectors B fixes; kept for bench/tracer.py."""
     if mu < 0:
         raise ValueError("shell index must be nonnegative")
     return _series(g._theta_key, mu)[mu]
@@ -101,7 +101,7 @@ def multiplicities(G: BieberbachGroup, p: int, mu_max: int) -> list[int]:
 
 
 def multiplicity(G: BieberbachGroup, p: int, mu: int) -> int:
-    """Multiplicity of the eigenvalue 4 pi^2 mu of the p-form Laplacian."""
+    """Multiplicity of the p-form eigenvalue 4 pi^2 mu; kept for __all__ and bench/tracer.py."""
     return multiplicities(G, p, mu)[mu]
 
 

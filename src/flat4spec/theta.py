@@ -27,11 +27,6 @@ with a bound, so `crosscheck` sums each variable once per (s, terms).
 qfield is imported only where a QuadNumber is made (`_coefficient` and
 `HeatTracePoly.from_terms`), so `trace_sums`, which classify and numspec read,
 does not load it.
-
-The engine never calls `monomial` or `fold_offset`.  They stay public because
-tests/golden_heat.py builds the golden polynomials with them, and the
-benchmark's output checks import golden_heat, `HeatTracePoly.from_terms` and
-`monomial_str` from the checkout they measure.
 """
 from __future__ import annotations
 
@@ -48,35 +43,12 @@ if TYPE_CHECKING:
 Monomial = tuple[tuple[tuple[int, Fraction], int], ...]  # ((d, r), exponent), sorted
 
 
-class ThetaError(ValueError):
-    pass
-
-
-def fold_offset(r) -> Fraction:
-    f = Fraction(r)
-    f = f - (f.numerator // f.denominator)
-    return min(f, 1 - f)
-
-
 def var_name(d: int, r: Fraction) -> str:
     if d == 1 and r == 0:
         return "x"
     if d == 1 and r == Fraction(1, 2):
         return "y"
     return f"z[{d},{r}]"
-
-
-def monomial(vars_with_exp) -> Monomial:
-    """Canonical monomial from ((d, r), exponent) pairs, d in 1..4; offsets get folded."""
-    acc: dict[tuple[int, Fraction], int] = {}
-    for (d, r), e in vars_with_exp:
-        if e == 0:
-            continue
-        if d not in (1, 2, 3, 4):
-            raise ThetaError(f"unsupported theta dimension {d}")
-        key = (d, fold_offset(r))
-        acc[key] = acc.get(key, 0) + e
-    return tuple(sorted(acc.items()))
 
 
 def monomial_str(m: Monomial) -> str:
@@ -97,15 +69,13 @@ class HeatTracePoly(NamedTuple):
 
     @classmethod
     def from_terms(cls, order: int, terms) -> "HeatTracePoly":
+        """Sum (monomial, coefficient) terms; kept for bench/checks.py."""
         from .qfield import QuadNumber
         acc: dict[Monomial, QuadNumber] = {}
         for mono, coef in terms:
             acc[mono] = acc.get(mono, QuadNumber()) + coef
         kept = [kv for kv in acc.items() if not kv[1].is_zero()]
         return cls(order, tuple(sorted(kept, key=lambda kv: _mono_key(kv[0]))))
-
-    def coeff_dict(self) -> dict[Monomial, QuadNumber]:
-        return dict(self.coeffs)
 
     def unscaled(self) -> dict[Monomial, QuadNumber]:
         inv = Fraction(1, self.order)
@@ -136,7 +106,7 @@ def _mono_key(m: Monomial):
 
 
 def poly_equal(a: HeatTracePoly, b: HeatTracePoly) -> bool:
-    """Exact equality of the underlying (unscaled) polynomials."""
+    """Exact equality of the unscaled polynomials; kept for flat4spec.__all__."""
     if a.order == b.order:
         return a.coeffs == b.coeffs
     return a.unscaled() == b.unscaled()

@@ -4,8 +4,8 @@ Each entry gives, for a group id, the holonomy order and a function of the
 form degree p returning the term list of the scaled heat trace polynomial
 |F| * Z_p as (monomial, coefficient) pairs.  The data was fixed by hand from
 the closed-form expressions for these groups and is kept independent of the
-engine: only generic constructors (monomial, QuadNumber, krawtchouk,
-binomial) are used.
+engine: only generic constructors (QuadNumber, krawtchouk, binomial, and
+the Fraction monomial builder `oracle.monomial`) are used.
 
 Offsets are written pre-folding; the monomial constructor folds r and 1 - r
 together, so e.g. z_{1,1/4} + z_{1,3/4} appears as 2 z[1,1/4].
@@ -15,7 +15,8 @@ from math import comb
 
 from flat4spec.kraw import krawtchouk
 from flat4spec.qfield import QuadNumber
-from flat4spec.theta import monomial
+
+from oracle import monomial
 
 H = Fraction(1, 2)
 R2 = QuadNumber(0, 1)                    # sqrt2

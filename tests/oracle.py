@@ -10,8 +10,8 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Sequence
 
-from flat4spec.group import AffineIsometry
 from flat4spec.intlat import IntMatrix, IntVector, decompose_fixed, identity, smith_normal_form
+from flat4spec.theta import Monomial
 
 
 def signed_perm_matrices(n: int) -> list[IntMatrix]:
@@ -25,8 +25,27 @@ def diag(*entries) -> IntMatrix:
     return tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def iso(rows, b) -> AffineIsometry:
-    return AffineIsometry.make(rows, b)
+class ThetaError(ValueError):
+    pass
+
+
+def fold_offset(r) -> Fraction:
+    f = Fraction(r)
+    f = f - (f.numerator // f.denominator)
+    return min(f, 1 - f)
+
+
+def monomial(vars_with_exp) -> Monomial:
+    """Canonical monomial from ((d, r), exponent) pairs, d in 1..4; offsets get folded."""
+    acc: dict[tuple[int, Fraction], int] = {}
+    for (d, r), e in vars_with_exp:
+        if e == 0:
+            continue
+        if d not in (1, 2, 3, 4):
+            raise ThetaError(f"unsupported theta dimension {d}")
+        key = (d, fold_offset(r))
+        acc[key] = acc.get(key, 0) + e
+    return tuple(sorted(acc.items()))
 
 
 def transpose(M: IntMatrix) -> IntMatrix:

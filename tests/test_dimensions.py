@@ -18,7 +18,9 @@ from flat4spec.intlat import identity
 from flat4spec.lengths import length_set, length_spectrum
 from flat4spec.numspec import multiplicities
 from flat4spec.qfield import QuadNumber
-from flat4spec.theta import HeatTracePoly, heat_trace_poly, monomial
+from flat4spec.theta import HeatTracePoly, heat_trace_poly
+
+from oracle import monomial
 
 F = Fraction
 SPLIT_IDS = ["1", "2", "2'", "3", "3''", "5", "7", "8", "26", "45"]

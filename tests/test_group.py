@@ -17,8 +17,7 @@ from flat4spec.qfield import QuadNumber
 from flat4spec.theta import heat_trace_poly
 
 from oracle import (affine_inverse, affine_product, det, diag, element_fields, element_oracle,
-                    iso, kernel_basis, lambda_p_matrix, mat_sub, mat_vec,
-                    signed_perm_matrices)
+                    kernel_basis, lambda_p_matrix, mat_sub, mat_vec, signed_perm_matrices)
 
 ALL_SIGNED_PERMS = signed_perm_matrices(4)
 quarters = st.fractions(min_value=0, max_value=1, max_denominator=4)
@@ -57,18 +56,21 @@ def test_apply_matches_composition_with_translations(g, x):
 
 def test_matrix_part_must_be_orthogonal():
     with pytest.raises(GroupError):
-        AffineIsometry.make([[1, 1, 0, 0], [0, 1, 0, 0],
-                             [0, 0, 1, 0], [0, 0, 0, 1]], [0, 0, 0, 0])
+        AffineIsometry([[1, 1, 0, 0], [0, 1, 0, 0],
+                        [0, 0, 1, 0], [0, 0, 0, 1]], [0, 0, 0, 0])
 
 
-def test_make_refuses_nonintegral_matrix_entries():
+def test_constructor_refuses_inexact_entries():
     half = (0, 0, 0, "1/2")
     with pytest.raises(GroupError, match="matrix entries must be integers"):
-        AffineIsometry.make(((1.5, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1.9)), half)
+        AffineIsometry(((1.5, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1.9)), half)
     # integral values of another type are read as ints
-    g = AffineIsometry.make(((1.0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), half)
+    g = AffineIsometry(((1.0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), half)
     assert g == AffineIsometry(identity(4), half)
     assert all(type(x) is int for row in g.B for x in row)
+    # 0.1 is a binary fraction near 1/10, not 1/10: a float is refused
+    with pytest.raises(GroupError):
+        AffineIsometry(identity(4), (0.1, 0, 0, 0))
 
 
 twelfths = st.fractions(min_value=0, max_value=1, max_denominator=12)
@@ -96,7 +98,7 @@ def test_trace_table_of_elements_with_mixed_denominators(catalog):
 
 
 def test_translation_is_normalized():
-    g = iso(identity(4), [Fraction(5, 4), Fraction(-1, 2), 3, 0])
+    g = AffineIsometry(identity(4), [Fraction(5, 4), Fraction(-1, 2), 3, 0])
     assert g.b == (Fraction(1, 4), Fraction(1, 2), 0, 0)
 
 
@@ -104,7 +106,7 @@ def test_torsion_is_rejected():
     # a point reflection with no translation fixes the origin, and offsets on
     # the rotated part alone, or integral ones, do not remove the fixed point
     for b in ([0, 0, 0, 0], [Fraction(1, 2), 0, 0, 0], [0, 3, 0, 0]):
-        gens = [iso(diag(-1, 1, 1, 1), b)]
+        gens = [AffineIsometry(diag(-1, 1, 1, 1), b)]
         with pytest.raises(GroupError, match="torsion"):
             build_group(gens)
         assert _closure(gens) == _closure_oracle(gens) == (
@@ -151,7 +153,8 @@ def test_element_shapes_match_oracle(element):
 
 def test_closure_bound():
     # B4 has order 384 > MAX_HOLONOMY_ORDER
-    gens = [iso(FOUR_CYCLE, [0, 0, 0, 0]), iso(diag(-1, 1, 1, 1), [0, 0, 0, 0])]
+    gens = [AffineIsometry(FOUR_CYCLE, [0, 0, 0, 0]),
+            AffineIsometry(diag(-1, 1, 1, 1), [0, 0, 0, 0])]
     with pytest.raises(GroupError, match="closure"):
         build_group(gens)
     assert _closure(gens) == _closure_oracle(gens) == "holonomy closure exceeded bound 48"
@@ -176,7 +179,7 @@ def test_product_matches_generic_formula():
     for A in ALL_SIGNED_PERMS:
         for B in rights:
             a, b = translation(), translation()
-            got = AffineIsometry.make(A, a) * AffineIsometry.make(B, b)
+            got = AffineIsometry(A, a) * AffineIsometry(B, b)
             assert (got.B, got.b) == _generic_product((A, a), (B, b)), (A, a, B, b)
 
 
@@ -355,16 +358,17 @@ def test_closure_multiplies_on_both_sides(pairs):
 
 
 def test_generators_of_mixed_dimensions_are_refused():
-    gens = [AffineIsometry.identity(3), iso(identity(4), [Fraction(1, 2), 0, 0, 0])]
+    gens = [AffineIsometry.identity(3), AffineIsometry(identity(4), [Fraction(1, 2), 0, 0, 0])]
     with pytest.raises(GroupError, match=r"^generators of mixed dimensions \[3, 4\]$"):
         build_group(gens)
 
 
 @pytest.mark.parametrize("gens, order", [
     ([], 1),  # the trivial group: lcm() is 1; no generators give the 4-torus
-    ([iso(identity(4), [1, 0, -2, 0])], 1),
-    ([iso(diag(1, 1, 1, -1), [Fraction(1, 2), 0, 0, 0]), iso(identity(4), [0, 3, 0, 0])], 2),
-    ([iso(diag(1, 1, 1, -1), [Fraction(3, 2), 0, 0, 0])], 2),
+    ([AffineIsometry(identity(4), [1, 0, -2, 0])], 1),
+    ([AffineIsometry(diag(1, 1, 1, -1), [Fraction(1, 2), 0, 0, 0]),
+      AffineIsometry(identity(4), [0, 3, 0, 0])], 2),
+    ([AffineIsometry(diag(1, 1, 1, -1), [Fraction(3, 2), 0, 0, 0])], 2),
 ])
 def test_closure_with_trivial_or_integral_translations(gens, order):
     holonomy, consistent = got = _closure(gens)
@@ -376,7 +380,7 @@ def test_closure_with_trivial_or_integral_translations(gens, order):
 def test_closure_with_a_large_denominator():
     # the translation table holds the residues in use, not all k/D for k < D
     D = 100003
-    gens = [iso(diag(1, 1, 1, -1), [Fraction(1, 2), 0, 0, Fraction(1, D)])]
+    gens = [AffineIsometry(diag(1, 1, 1, -1), [Fraction(1, 2), 0, 0, Fraction(1, D)])]
     tracemalloc.start()
     try:
         holonomy, consistent = _closure(gens)
@@ -389,12 +393,12 @@ def test_closure_with_a_large_denominator():
 
 
 def test_klein_type_group():
-    G = build_group([iso(diag(1, 1, 1, -1), [Fraction(1, 2), 0, 0, 0])],
+    G = build_group([AffineIsometry(diag(1, 1, 1, -1), [Fraction(1, 2), 0, 0, 0])],
                     name="k")
     assert G.order == 2
     assert G.holonomy[0] == AffineIsometry.identity(4)
     # the hash is by value: a separately built equal group matches
-    again = build_group([iso(diag(1, 1, 1, -1), [Fraction(1, 2), 0, 0, 0])],
+    again = build_group([AffineIsometry(diag(1, 1, 1, -1), [Fraction(1, 2), 0, 0, 0])],
                         name=G.name)
     assert again is not G and again == G and hash(again) == hash(G)
     assert not is_orientable(G)
@@ -494,11 +498,11 @@ def test_sunada_numbers_in_any_dimension():
     # (d, t) runs over d in 1..n; the tuple is the paper's six counts, n = 4 only
     five_torus = build_group([AffineIsometry.identity(5)])
     assert sunada_numbers(five_torus) == {(d, t): 0 for d in range(1, 6) for t in range(d + 1)}
-    G = build_group([iso(diag(1, 1, 1, 1, 1, -1), (Fraction(1, 2), 0, 0, 0, 0, 0))])
+    G = build_group([AffineIsometry(diag(1, 1, 1, 1, 1, -1), (Fraction(1, 2), 0, 0, 0, 0, 0))])
     counts = sunada_numbers(G)
     assert counts.keys() == {(d, t) for d in range(1, 7) for t in range(d + 1)}
     assert {k: c for k, c in counts.items() if c} == {(5, 1): 1}
-    klein = build_group([iso(((1, 0), (0, -1)), (Fraction(1, 2), 0))])
+    klein = build_group([AffineIsometry(((1, 0), (0, -1)), (Fraction(1, 2), 0))])
     with pytest.raises(GroupError, match="n = 4"):
         sunada_tuple(klein)
 
@@ -520,8 +524,8 @@ def test_holonomy_orders(catalog):
 
 
 def test_volume_uses_component_norms(catalog):
-    g = iso(((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 0, 0)),
-            [Fraction(1, 3), 0, 0, 0])
+    g = AffineIsometry(((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 0, 0)),
+                       [Fraction(1, 3), 0, 0, 0])
     dec = g.decomposition()
     assert float(dec.volume()) == pytest.approx(3 ** 0.5)
     assert g.translation_offsets() == ((1, Fraction(1, 3)), (3, Fraction(0)))

@@ -119,25 +119,6 @@ def test_multiplicity_matches_spectrum(catalog):
                 (entry.id, l2)
 
 
-def test_multiplicity_counts_orbits_only_at_its_length(catalog, monkeypatch):
-    seen = set()
-    count = lengths._count_orbits
-
-    def spy(states, geo, maps):
-        for state in states:
-            # the state's +1 cycle coordinates are the k_j of its solution
-            ks = [x for x, (_, eps) in zip(state, geo.cycles) if eps == 1]
-            seen.add(sum((k + F(sD, geo.D)) ** 2 / d for k, sD, d in zip(ks, geo.sD, geo.ds)))
-        return count(states, geo, maps)
-
-    monkeypatch.setattr(lengths, "_count_orbits", spy)
-    for gid in ("1", "2", "25", "33"):
-        for l2 in LENGTHS:
-            found = length_multiplicity(catalog.group(gid), l2)
-            assert seen == ({l2} if found else set()), (gid, l2)
-            seen.clear()
-
-
 def test_length_set_matches_heat_trace_support(catalog):
     # squared lengths <= max2 are exactly the exponents sum (k+r)^2/d realized
     # by the monomial support of the 0-form heat trace

@@ -15,8 +15,6 @@ from flat4spec.classify import ClassificationReport
 from flat4spec.group import AffineIsometry, BieberbachGroup, _fraction_monomial
 from flat4spec.theta import trace_sums
 
-from oracle import iso
-
 SRC = str(Path(flat4spec.__file__).resolve().parent.parent)
 
 
@@ -47,6 +45,15 @@ def _quiet_main(*argv: str) -> str:
 
 
 EVERY_COMMAND = {"flat4spec", "catalog", "cli", "group", "intlat", "kraw", "theta"}
+
+
+def test_readme_library_example_prints_what_it_says():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", example], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines() == ["8*Z_p = (6) x^4 + (-2) x*y + (-4) y^2", "8"]
 
 
 def test_package_import_loads_no_submodule():
@@ -137,11 +144,11 @@ SWAP = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1))
 
 
 def test_affine_isometry_equality_and_hash_after_normalization():
-    g = iso(SWAP, (Fraction(1, 2), 0, 0, 0))
-    h = iso(SWAP, (Fraction(-1, 2), 1, 2, 0))
+    g = AffineIsometry(SWAP, (Fraction(1, 2), 0, 0, 0))
+    h = AffineIsometry(SWAP, (Fraction(-1, 2), 1, 2, 0))
     assert g == h and hash(g) == hash((g.B, g.b))
     assert hash(g) == hash(h)
-    assert g != iso(SWAP, (0, 0, 0, 0))
+    assert g != AffineIsometry(SWAP, (0, 0, 0, 0))
     assert g != (g.B, g.b)
     assert g.b == (Fraction(1, 2), 0, 0, 0)
     assert repr(g) == f"AffineIsometry(B={g.B!r}, b={g.b!r})"
