@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import json
 import os
+from collections import namedtuple
 from fractions import Fraction
-from pathlib import Path
-from typing import NamedTuple
 
 from .group import (AffineIsometry, BieberbachGroup, betti, build_group, is_diagonal_type,
                     is_orientable, sunada_tuple)
@@ -44,18 +43,9 @@ class CatalogError(ValueError):
     pass
 
 
-class CatalogEntry(NamedTuple):
-    id: str
-    table: str
-    holonomy: str
-    group: BieberbachGroup
-    betti: tuple[int, int]
-    betti_printed: tuple[int, int]
-    orientable: bool
-    diagonal: bool
-    sunada: tuple[int, ...] | None = None
-    sunada_printed: tuple[int, ...] | None = None
-    notes: str = ""
+CatalogEntry = namedtuple("CatalogEntry", [
+    "id", "table", "holonomy", "group", "betti", "betti_printed", "orientable", "diagonal",
+    "sunada", "sunada_printed", "notes"], defaults=(None, None, ""))
 
 
 class Catalog:
@@ -182,7 +172,7 @@ def catalog_path() -> str:
     override = os.environ.get(ENV_VAR)
     if override:
         return override
-    return str(Path(__file__).with_name("data") / "catalog.json")
+    return os.path.join(os.path.dirname(__file__), "data", "catalog.json")
 
 
 def load_catalog(path: str | None = None, ids: list[str] | None = None) -> Catalog:
@@ -194,10 +184,11 @@ def load_catalog(path: str | None = None, ids: list[str] | None = None) -> Catal
     """
     src = path if path is not None else catalog_path()
     try:
-        data = json.loads(Path(src).read_text())
+        with open(src, "rb") as f:
+            data = json.loads(f.read())
     except OSError as exc:
         raise CatalogError(f"cannot read catalog {src}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # incl. bad UTF-8 and nesting too deep
         raise CatalogError(f"catalog {src} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
         raise CatalogError(f"catalog {src} has no 'entries' list")

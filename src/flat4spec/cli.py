@@ -27,7 +27,6 @@ import math
 import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import MODES
 from .catalog import catalog_path, load_catalog
@@ -165,7 +164,8 @@ def cmd_classify(args) -> int:
             print(report.to_json())
         else:
             try:
-                Path(args.json).write_text(report.to_json() + "\n")
+                with open(args.json, "w") as f:
+                    f.write(report.to_json() + "\n")
             except OSError as exc:
                 print(f"error: cannot write report to {args.json}: {exc}", file=sys.stderr)
                 return 1

@@ -46,7 +46,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
-from typing import Sequence
 
 from . import intlat
 from .intlat import (Cycles, FixedDecomposition, IntMatrix, IntVector, RatVector,
@@ -174,7 +173,7 @@ class AffineIsometry(_Frozen):
         t = tuple([-x % D for x in code_product(self._code, self._t)])
         return AffineIsometry._from_code(code_inverse(self._code), t, D)
 
-    def apply(self, x: Sequence[Fraction]) -> RatVector:
+    def apply(self, x: RatVector) -> RatVector:
         shifted = tuple(Fraction(xi) + bi for xi, bi in zip(x, self.b))
         return code_product(self._code, shifted)
 
@@ -269,7 +268,8 @@ class BieberbachGroup(_Frozen):
         return self.holonomy[1:]
 
 
-def build_group(generators: Sequence[AffineIsometry], name: str = "") -> BieberbachGroup:
+def build_group(generators: tuple[AffineIsometry, ...] | list[AffineIsometry],
+                name: str = "") -> BieberbachGroup:
     """Close the n x n generators modulo Z^n and validate the Bieberbach conditions."""
     gens = tuple(generators)
     dims = {len(g._code) for g in gens} or {4}  # no generators: the 4-torus

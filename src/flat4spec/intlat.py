@@ -21,12 +21,9 @@ QuadNumber, so a command that never asks for a volume never loads it.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import prod
-from typing import TYPE_CHECKING, NamedTuple, Sequence
-
-if TYPE_CHECKING:
-    from .qfield import QuadNumber
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
@@ -61,18 +58,19 @@ def checked_code(M: IntMatrix) -> IntVector:
     return code
 
 
-def code_matrix(code: Sequence[int]) -> IntMatrix:
+def code_matrix(code: IntVector) -> IntMatrix:
     """The signed permutation matrix with this `signed_code`."""
     zeros = (0,) * len(code)
     return tuple(zeros[:abs(c) - 1] + (1 if c > 0 else -1,) + zeros[abs(c):] for c in code)
 
 
-def code_product(A: Sequence[int], B: Sequence) -> tuple:
+def code_product(A: IntVector, B: tuple | list) -> tuple:
     """Code of A B, row i being s * B[j] for s = A[i][j]; with a vector v for B, A v."""
     return tuple([B[c - 1] if c > 0 else -B[-c - 1] for c in A])
 
 
-def code_compose(A: IntVector, a: Sequence, B: IntVector, b: Sequence) -> tuple[IntVector, list]:
+def code_compose(A: IntVector, a: tuple | list,
+                 B: IntVector, b: tuple | list) -> tuple[IntVector, list]:
     """(A, a) * (B, b) = (A B, B^T a + b) for signed-permutation codes A and B.
 
     Each entry s = B[i][j] adds s * a_i to coordinate j of B^T a.  The
@@ -87,7 +85,7 @@ def code_compose(A: IntVector, a: Sequence, B: IntVector, b: Sequence) -> tuple[
     return code_product(A, B), t
 
 
-def code_inverse(code: Sequence[int]) -> IntVector:
+def code_inverse(code: IntVector) -> IntVector:
     """Code of B^{-1} = B^T: the entry s = B[i][j] is B^T[j][i]."""
     inv = [0] * len(code)
     for i, c in enumerate(code, 1):
@@ -221,13 +219,12 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 # -- fixed lattices of signed permutations --------------------------------
 
 
-class FixedComponent(NamedTuple):
-    vector: IntVector  # entries in {-1, 0, 1}
-    d: int             # support size, equal to |vector|^2
+# vector has entries in {-1, 0, 1}; d is its support size, equal to |vector|^2
+FixedComponent = namedtuple("FixedComponent", ["vector", "d"])
 
 
-class FixedDecomposition(NamedTuple):
-    components: tuple[FixedComponent, ...]
+class FixedDecomposition(namedtuple("FixedDecomposition", ["components"])):
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -239,7 +236,7 @@ class FixedDecomposition(NamedTuple):
         return QuadNumber.sqrt_int(prod([c.d for c in self.components]))
 
 
-def code_cycles(code: Sequence[int]) -> Cycles:
+def code_cycles(code: IntVector) -> Cycles:
     """Cycles of the signed permutation B with this (unchecked) code, by smallest axis.
 
     A cycle (orbit, eps) starts at its smallest axis a and lists (axis, sign)

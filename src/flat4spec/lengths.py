@@ -34,10 +34,10 @@ lengths become Fractions.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm
-from typing import NamedTuple
 
 from .group import AffineIsometry, BieberbachGroup
 from .intlat import Cycles, IntVector, code_compose, code_inverse, code_product, identity
@@ -47,15 +47,11 @@ class LengthError(ValueError):
     pass
 
 
-class CosetGeometry(NamedTuple):
-    """The data of one coset B L_{b + Z^n}, translations scaled by D."""
-
-    code: IntVector                   # intlat.signed_code of B
-    D: int                            # the group's closure denominator
-    t: IntVector                      # D*b
-    ds: tuple[int, ...]               # component norms d_j
-    sD: tuple[int, ...]               # per-cycle sums D*b . u_j, unreduced
-    cycles: Cycles                    # signed cycles of B, one state coordinate each
+# The data of one coset B L_{b + Z^n}, translations scaled by D: code is
+# intlat.signed_code of B, D the group's closure denominator, t = D*b, ds the
+# component norms d_j, sD the per-cycle sums D*b . u_j (unreduced) and cycles
+# the signed cycles of B, one state coordinate each.
+CosetGeometry = namedtuple("CosetGeometry", ["code", "D", "t", "ds", "sD", "cycles"])
 
 
 def coset_geometry(g: AffineIsometry) -> CosetGeometry:

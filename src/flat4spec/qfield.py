@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
 
-Rat = Union[int, Fraction]
+Rat = int | Fraction
 
 
 class UnrepresentableRadical(ValueError):

@@ -31,14 +31,11 @@ does not load it.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
 
 from .group import BieberbachGroup, _fraction_monomial
-
-if TYPE_CHECKING:
-    from .qfield import QuadNumber
 
 Monomial = tuple[tuple[tuple[int, Fraction], int], ...]  # ((d, r), exponent), sorted
 
@@ -61,11 +58,13 @@ def monomial_str(m: Monomial) -> str:
     return "*".join(parts)
 
 
-class HeatTracePoly(NamedTuple):
-    """|F|-scaled heat trace polynomial: true value is sum(coeffs)/order."""
+class HeatTracePoly(namedtuple("HeatTracePoly", ["order", "coeffs"])):
+    """|F|-scaled heat trace polynomial: true value is sum(coeffs)/order.
 
-    order: int
-    coeffs: tuple[tuple[Monomial, QuadNumber], ...]
+    coeffs is a tuple of (Monomial, QuadNumber) pairs.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def from_terms(cls, order: int, terms) -> "HeatTracePoly":

@@ -254,12 +254,13 @@ def test_bracketL_excluded_sets_disagree(catalog):
 # -- 11: oracle equivalence ---------------------------------------------------
 
 
-SAMPLES = [("1", 0), ("2", 1), ("8", 2), ("24", 0), ("29'", 3), ("47", 1),
-           ("57", 2), ("58", 2), ("60", 4), ("67", 0)]
+SAMPLES = [(gid, p) for gid in ("1", "2", "8", "24", "29'", "47", "57", "58", "60", "64", "67")
+           for p in range(5)]
 
 
 @pytest.mark.parametrize("gid, p", SAMPLES)
 def test_exact_vs_numeric_heat_trace(catalog, gid, p):
+    # spectral sums and exact theta polynomials agree to high accuracy
     G = catalog.group(gid)
     exact = heat_trace_poly(G, p).eval_numeric(0.08, terms=60)
     series = heat_trace_numeric(G, p, 0.08, 40)

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -54,9 +55,12 @@ def test_missing_file(monkeypatch, tmp_path):
 
 def test_invalid_json(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(CatalogError, match="not valid JSON"):
-        load_catalog(str(bad))
+    # a syntax error, a byte that is not UTF-8 and nesting deeper than the
+    # decoder's recursion limit
+    for content in (b"{not json", b'{"entries": [], "x": "\xff"}', b"[" * 100_000):
+        bad.write_bytes(content)
+        with pytest.raises(CatalogError, match=re.escape(f"catalog {bad} is not valid JSON: ")):
+            load_catalog(str(bad))
 
 
 def _base_data():

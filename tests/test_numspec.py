@@ -261,16 +261,3 @@ def test_heat_trace_numeric_is_weighted_sum(catalog):
     want = sum(multiplicity(G, 1, mu) * exp(-4 * pi * pi * mu * s)
                for mu in range(6))
     assert heat_trace_numeric(G, 1, s, 5) == pytest.approx(want, rel=1e-14)
-
-
-def test_multiplicities_against_exact_polynomials(catalog):
-    # spectral sums and exact theta polynomials agree to high accuracy
-    from flat4spec.theta import heat_trace_poly
-
-    s = 0.08
-    for gid in ("1", "2", "8", "24", "29'", "47", "57", "58", "60", "64", "67"):
-        G = catalog.group(gid)
-        for p in range(5):
-            exact = heat_trace_poly(G, p).eval_numeric(s, terms=60)
-            series = heat_trace_numeric(G, p, s, 40)
-            assert abs(exact - series) < 1e-8, (gid, p)

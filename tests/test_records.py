@@ -13,15 +13,17 @@ import flat4spec
 from flat4spec.catalog import Catalog, CatalogEntry
 from flat4spec.classify import ClassificationReport
 from flat4spec.group import AffineIsometry, BieberbachGroup, _fraction_monomial
-from flat4spec.theta import trace_sums
+from flat4spec.intlat import FixedComponent, FixedDecomposition
+from flat4spec.lengths import CosetGeometry
+from flat4spec.theta import HeatTracePoly, trace_sums
 
 SRC = str(Path(flat4spec.__file__).resolve().parent.parent)
 
 
-def _modules_after(statement: str) -> set[str]:
+def _modules_after(statement: str, *options: str) -> set[str]:
     env = dict(os.environ, PYTHONPATH=SRC)
     code = f"{statement}\nimport sys\nprint('\\n'.join(sys.modules))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, *options, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     return set(out.split())
 
@@ -83,6 +85,8 @@ def test_cli_import_loads_neither_lengths_nor_numspec():
         "classify-bracketL", "lengths", "spectrum", "crosscheck"])
 def test_command_loads_only_the_deferred_layers_it_runs(argv, deferred):
     assert _package_modules_after(_quiet_main(*argv)) == EVERY_COMMAND | deferred
+    # -S skips site, whose .pth hooks may load either module before the command
+    assert not {"pathlib", "typing"} & _modules_after(_quiet_main(*argv), "-S")
 
 
 # flat4spec.__all__ before its names were loaded lazily; the set must stay
@@ -234,6 +238,31 @@ def test_catalog_entry_defaults(catalog):
     assert (e.sunada, e.sunada_printed, e.notes) == (None, None, "")
 
 
+# value type -> (fields, defaults)
+VALUE_TYPES = {
+    CatalogEntry: (("id", "table", "holonomy", "group", "betti", "betti_printed", "orientable",
+                    "diagonal", "sunada", "sunada_printed", "notes"),
+                   {"sunada": None, "sunada_printed": None, "notes": ""}),
+    FixedComponent: (("vector", "d"), {}),
+    FixedDecomposition: (("components",), {}),
+    CosetGeometry: (("code", "D", "t", "ds", "sD", "cycles"), {}),
+    HeatTracePoly: (("order", "coeffs"), {}),
+}
+
+
+# a value-type subclass that carries methods needs __slots__ = (), or its
+# instances gain a __dict__
+@pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
+def test_value_type_fields_and_no_instance_dict(cls):
+    fields, defaults = VALUE_TYPES[cls]
+    assert cls._fields == fields
+    assert cls._field_defaults == defaults
+    value = cls(*range(len(fields)))
+    assert repr(value).startswith(f"{cls.__name__}(")
+    with pytest.raises(AttributeError):
+        value.extra = None
+
+
 def test_each_test_is_defined_once_and_no_test_module_imports_another():
     # an assertion lives in one place; shared reference code lives in oracle.py
     names, imports = [], []
@@ -249,3 +278,30 @@ def test_each_test_is_defined_once_and_no_test_module_imports_another():
     assert len(names) > 200  # the scan saw the suite
     assert sorted(name for name, n in Counter(names).items() if n > 1) == []
     assert [(path, m) for path, m in imports if m.split(".")[0].startswith("test_")] == []
+
+
+FAILING_PROPERTY_MODULE = '''
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_drawn(x):
+    assert x < 0
+
+
+def test_plain():
+    pass
+'''
+
+
+def test_failing_property_test_does_not_end_the_session(tmp_path):
+    # hypothesis imports libcst to write a failure patch, and libcst's import
+    # warning must not become an INTERNALERROR (exit 3) that skips later tests;
+    # cwd is tmp_path because hypothesis writes .hypothesis/patches there
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY_MODULE)
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-c", str(pyproject),
+                          "-p", "no:cacheprovider", "-q", "test_property.py"],
+                         cwd=tmp_path, capture_output=True, text=True)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
